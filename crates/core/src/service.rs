@@ -25,15 +25,22 @@
 //!   in a couple of sweeps instead of a cold start.
 //!
 //! Everything the loop swallows is visible: the service keeps local
-//! [`ServeStats`] and, when metrics are enabled, increments the
-//! `serve.dropped_late` / `serve.rejected` / `serve.degraded` (plus
-//! `serve.duplicates` / `serve.queue_dropped`) counters, emits
-//! `serve.tick` / `serve.solve` spans, and samples per-tick and
-//! per-solve wall clock into the `serve.tick_us` / `serve.solve_us`
-//! log₂ histograms plus end-to-end ingest-to-estimate latency into
-//! `serve.e2e_us` (handles resolved once, so the hot path stays
-//! allocation-free) through the `telemetry` crate. [`TickReport`]
-//! carries the same timings per tick for callers without a sink.
+//! [`ServeStats`] and, when metrics are enabled, mirrors them into the
+//! `serve.admitted` / `serve.dropped_late` / `serve.rejected` /
+//! `serve.duplicates` / `serve.degraded` / `serve.solves` (plus
+//! `serve.queue_dropped`) counters, emits `serve.tick` /
+//! `serve.solve` spans, and samples per-tick and per-solve wall clock
+//! into the `serve.tick_us` / `serve.solve_us` log₂ histograms through
+//! the `telemetry` crate. [`TickReport`] carries the same timings per
+//! tick for callers without a sink. Admission touches only
+//! service-local state: every metric handle is resolved once, the
+//! admission counters are added from the [`TickReport`] deltas, so they
+//! become visible once per tick, not per report, and `serve.e2e_us` is
+//! merged in once per tick from a local scratch histogram. Each admitted
+//! report's end-to-end sample runs from its enqueue instant to the
+//! tick's single settle instant (one clock read per tick, taken once
+//! the estimate is ready). The dedup table is pruned only when a slot
+//! leaves the window; between evictions nothing in it can expire.
 //!
 //! # Causal tracing
 //!
@@ -79,9 +86,10 @@ use crate::error::{ConfigError, Error};
 use crate::online::OnlineEstimator;
 use linalg::Matrix;
 use probes::stream::StreamingTcm;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
-use telemetry::Level;
+use telemetry::{Counter, Histogram, Level};
 
 /// A segment-resolved probe observation, the service's unit of ingest.
 ///
@@ -479,14 +487,126 @@ pub struct TickReport {
     pub solve_us: u64,
 }
 
-/// Latency histogram handles, resolved once from the global registry so
-/// the per-tick sampling on the hot path is an `Arc` deref and a few
-/// relaxed atomic bumps — no name lookup, no allocation.
+/// Every `serve.*` metric handle, resolved once (per registry epoch)
+/// from the global registry so updating a metric is an `Arc` deref and
+/// a relaxed atomic bump — no name lookup, no registry lock, no
+/// allocation.
 #[derive(Debug)]
-struct LatencyHists {
-    tick_us: std::sync::Arc<telemetry::Histogram>,
-    solve_us: std::sync::Arc<telemetry::Histogram>,
-    e2e_us: std::sync::Arc<telemetry::Histogram>,
+struct ServeMetrics {
+    epoch: u64,
+    admitted: Arc<Counter>,
+    rejected: Arc<Counter>,
+    dropped_late: Arc<Counter>,
+    duplicates: Arc<Counter>,
+    queue_dropped: Arc<Counter>,
+    solves: Arc<Counter>,
+    degraded: Arc<Counter>,
+    solve_cache_hit: Arc<Counter>,
+    solve_cache_miss: Arc<Counter>,
+    incremental_solves: Arc<Counter>,
+    rows_resolved: Arc<Counter>,
+    tick_us: Arc<Histogram>,
+    solve_us: Arc<Histogram>,
+    e2e_us: Arc<Histogram>,
+}
+
+impl ServeMetrics {
+    /// The handles in `slot`, resolved on first use while metrics are
+    /// enabled and again after the registry was cleared. Returns `None`
+    /// (without touching the registry) when metrics are off. Takes the
+    /// field, not the service, so callers keep borrowing the rest of the
+    /// service alongside.
+    fn get(slot: &mut Option<Self>) -> Option<&Self> {
+        if !telemetry::metrics_enabled() {
+            return None;
+        }
+        let epoch = telemetry::registry_epoch();
+        if slot.as_ref().is_none_or(|m| m.epoch != epoch) {
+            *slot = Some(Self::resolve(epoch));
+        }
+        slot.as_ref()
+    }
+
+    fn resolve(epoch: u64) -> Self {
+        let c = telemetry::counter;
+        let h = telemetry::histogram;
+        Self {
+            epoch,
+            admitted: c("serve.admitted"),
+            rejected: c("serve.rejected"),
+            dropped_late: c("serve.dropped_late"),
+            duplicates: c("serve.duplicates"),
+            queue_dropped: c("serve.queue_dropped"),
+            solves: c("serve.solves"),
+            degraded: c("serve.degraded"),
+            solve_cache_hit: c("serve.solve_cache_hit"),
+            solve_cache_miss: c("serve.solve_cache_miss"),
+            incremental_solves: c("serve.incremental_solves"),
+            rows_resolved: c("serve.rows_resolved"),
+            tick_us: h("serve.tick_us"),
+            solve_us: h("serve.solve_us"),
+            e2e_us: h("serve.e2e_us"),
+        }
+    }
+}
+
+/// The window cells changed since the last solve, as the rows and
+/// columns the incremental path re-solves.
+#[derive(Debug)]
+struct DirtySet {
+    /// Per ring row (`abs_slot % window_slots`): the absolute slot whose
+    /// cells changed, or [`DirtySet::CLEAN`]. A tag naming a slot that
+    /// has left the window is stale and ignored, so eviction needs no
+    /// cleanup.
+    slots: Vec<usize>,
+    /// Per segment column: whether it changed, through an admitted
+    /// report or a cell evicted with its slot.
+    col_mark: Vec<bool>,
+    /// The marked columns, in marking order.
+    cols: Vec<u32>,
+}
+
+impl DirtySet {
+    const CLEAN: usize = usize::MAX;
+
+    fn new(window_slots: usize, num_segments: usize) -> Self {
+        Self {
+            slots: vec![Self::CLEAN; window_slots],
+            col_mark: vec![false; num_segments],
+            cols: Vec::new(),
+        }
+    }
+
+    fn mark_cell(&mut self, abs_slot: usize, segment: usize) {
+        let ring = abs_slot % self.slots.len();
+        self.slots[ring] = abs_slot;
+        self.mark_col(segment);
+    }
+
+    fn mark_col(&mut self, segment: usize) {
+        if !self.col_mark[segment] {
+            self.col_mark[segment] = true;
+            self.cols.push(segment as u32);
+        }
+    }
+
+    /// The dirty rows relative to the window `tail..=head` and the dirty
+    /// columns, both ascending.
+    fn rows_cols(&self, tail: usize, head: usize) -> (Vec<usize>, Vec<u32>) {
+        let m = self.slots.len();
+        let rows = (tail..=head).filter(|&s| self.slots[s % m] == s).map(|s| s - tail).collect();
+        let mut cols = self.cols.clone();
+        cols.sort_unstable();
+        (rows, cols)
+    }
+
+    fn clear(&mut self) {
+        self.slots.fill(Self::CLEAN);
+        for &j in &self.cols {
+            self.col_mark[j as usize] = false;
+        }
+        self.cols.clear();
+    }
 }
 
 /// Deterministic trace ID of one probe report: the FNV-1a 64-bit digest
@@ -530,9 +650,9 @@ pub struct Service {
     /// Window content changed since the last successful solve.
     dirty: bool,
     stats: ServeStats,
-    /// Lazily-resolved latency histograms (`None` until the first tick
-    /// with metrics enabled).
-    lat: Option<LatencyHists>,
+    /// Lazily-resolved metric handles (`None` until the first use with
+    /// metrics enabled).
+    metrics: Option<ServeMetrics>,
     /// Reports pushed so far — the `ingest_seq` input of the next
     /// report's [`report_trace_id`].
     ingest_seq: u64,
@@ -543,7 +663,10 @@ pub struct Service {
     /// Local end-to-end latency histogram (ingest-enqueue to
     /// estimate-ready), always on: callers like `cs_bench::loadgen`
     /// read it via [`Service::e2e_histogram`] without a metrics sink.
-    e2e: telemetry::Histogram,
+    e2e: Histogram,
+    /// This tick's e2e samples, merged into `e2e` (and `serve.e2e_us`)
+    /// once per tick, then reset.
+    e2e_tick: Histogram,
     /// XOR-fold of [`cell_hash`] over every observed window cell — an
     /// order-independent running digest of window content, maintained
     /// O(1) per admission and O(segments) per slot eviction. Keyed by
@@ -553,12 +676,12 @@ pub struct Service {
     /// Content key of the window at the last successful solve; a dirty
     /// tick whose current key matches is a solve-cache hit.
     last_solve_key: Option<u64>,
-    /// `(absolute slot, segment)` cells whose content changed since the
-    /// last solve — the dirty set the incremental path re-solves.
-    dirty_cells: HashSet<(usize, u32)>,
-    /// Segment columns that lost cells to slot eviction since the last
-    /// solve; they join the dirty columns of the next delta pass.
-    evicted_cols: HashSet<u32>,
+    /// Cells whose content changed since the last solve — the work
+    /// list the incremental path re-solves.
+    dirty_set: DirtySet,
+    /// Window tail at the last dedup prune; `seen` can only hold
+    /// expired keys once the tail has moved past it.
+    pruned_tail: usize,
     /// Solve-cache and incremental-path breakdown.
     solve_stats: SolveStats,
     /// Successful solves since the last full sweep — drives the
@@ -600,42 +723,26 @@ impl Service {
         let estimator = OnlineEstimator::new(config.cs.clone(), config.window_slots)?;
         Ok(Self {
             clock_s: config.start_s,
-            config,
             queue: VecDeque::new(),
+            pruned_tail: window.tail_slot(),
             window,
             estimator,
             seen: HashMap::new(),
             last_good: None,
             dirty: false,
             stats: ServeStats::default(),
-            lat: None,
+            metrics: None,
             ingest_seq: 0,
             pending: Vec::new(),
-            e2e: telemetry::Histogram::default(),
+            e2e: Histogram::default(),
+            e2e_tick: Histogram::default(),
             digest: 0,
             last_solve_key: None,
-            dirty_cells: HashSet::new(),
-            evicted_cols: HashSet::new(),
+            dirty_set: DirtySet::new(config.window_slots, config.num_segments),
             solve_stats: SolveStats::default(),
             solves_since_full: 0,
+            config,
         })
-    }
-
-    /// The latency histogram handles, resolved on first use while
-    /// metrics are enabled. Returns `None` (without touching the
-    /// registry) when metrics are off.
-    fn latency_hists(&mut self) -> Option<&LatencyHists> {
-        if !telemetry::metrics_enabled() {
-            return None;
-        }
-        if self.lat.is_none() {
-            self.lat = Some(LatencyHists {
-                tick_us: telemetry::histogram("serve.tick_us"),
-                solve_us: telemetry::histogram("serve.solve_us"),
-                e2e_us: telemetry::histogram("serve.e2e_us"),
-            });
-        }
-        self.lat.as_ref()
     }
 
     /// The validated configuration in use.
@@ -801,8 +908,8 @@ impl Service {
         let trace = self.trace_id_for(&obs, seq);
         if self.queue.len() >= self.config.queue_capacity {
             self.stats.queue_dropped += 1;
-            if telemetry::metrics_enabled() {
-                telemetry::counter("serve.queue_dropped").incr();
+            if let Some(m) = ServeMetrics::get(&mut self.metrics) {
+                m.queue_dropped.incr();
             }
             match self.config.backpressure {
                 Backpressure::DropNewest => {
@@ -854,15 +961,13 @@ impl Service {
             for (j, (&s, &c)) in sums.iter().zip(counts).enumerate() {
                 if c > 0.0 {
                     self.digest ^= cell_hash(tail, j as u32, s, c);
-                    self.evicted_cols.insert(j as u32);
+                    self.dirty_set.mark_col(j);
                 }
             }
             self.window.advance_to_slot(tail + self.config.window_slots);
         }
-        // Evicted cells are gone, not dirty: their change is carried by
-        // `evicted_cols` on the column axis.
-        let tail = self.window.tail_slot();
-        self.dirty_cells.retain(|&(s, _)| s >= tail);
+        // Evicted cells are gone, not dirty: their row tags went stale
+        // with the slot, and their change is carried by the column marks.
     }
 
     /// Drains the ingest queue through the admission rules, then — if
@@ -884,11 +989,15 @@ impl Service {
         }
         self.finish_pending(&report);
         report.tick_us = t0.elapsed().as_micros() as u64;
-        if let Some(lat) = self.latency_hists() {
-            lat.tick_us.observe(report.tick_us as f64);
+        if let Some(m) = ServeMetrics::get(&mut self.metrics) {
+            m.admitted.add(report.admitted as u64);
+            m.rejected.add(report.rejected as u64);
+            m.dropped_late.add(report.dropped_late as u64);
+            m.duplicates.add(report.duplicates as u64);
+            m.tick_us.observe(report.tick_us as f64);
             // Every solve attempt ends solved, degraded, or both.
             if report.solved || report.degraded {
-                lat.solve_us.observe(report.solve_us as f64);
+                m.solve_us.observe(report.solve_us as f64);
             }
         }
         if span.is_enabled() {
@@ -904,28 +1013,31 @@ impl Service {
     }
 
     /// Settles the reports admitted this tick: samples their end-to-end
-    /// latency (enqueue instant to now, when the estimate became ready)
-    /// and emits the terminal trace stage. An admitted report implies a
-    /// dirty window, so the solve always ran this tick — the terminal is
-    /// `solved`, or `degraded` when it failed or blew its budget.
+    /// latency (enqueue instant to the settle instant, when the estimate
+    /// became ready) and emits the terminal trace stage. An admitted
+    /// report implies a dirty window, so the solve always ran this tick —
+    /// the terminal is `solved`, or `degraded` when it failed or blew its
+    /// budget.
     fn finish_pending(&mut self, report: &TickReport) {
         if self.pending.is_empty() {
             return;
         }
         let stage = if report.degraded { "degraded" } else { "solved" };
-        let e2e_metric = self.latency_hists().map(|l| std::sync::Arc::clone(&l.e2e_us));
-        for i in 0..self.pending.len() {
-            let (trace, enqueued) = self.pending[i];
-            let us = enqueued.elapsed().as_micros() as f64;
-            self.e2e.observe(us);
-            if let Some(h) = &e2e_metric {
-                h.observe(us);
-            }
+        // One clock read settles the whole tick: every pending report's
+        // estimate became ready at the same instant.
+        let settled = Instant::now();
+        for &(trace, enqueued) in &self.pending {
+            self.e2e_tick.observe(settled.saturating_duration_since(enqueued).as_micros() as f64);
             if let Some(id) = trace {
                 Self::trace_terminal(id, stage);
             }
         }
         self.pending.clear();
+        self.e2e.merge(&self.e2e_tick);
+        if let Some(m) = ServeMetrics::get(&mut self.metrics) {
+            m.e2e_us.merge(&self.e2e_tick);
+        }
+        self.e2e_tick.reset();
     }
 
     /// Dumps the installed flight recorder to the configured path
@@ -963,9 +1075,6 @@ impl Service {
         {
             self.stats.rejected += 1;
             report.rejected += 1;
-            if telemetry::metrics_enabled() {
-                telemetry::counter("serve.rejected").incr();
-            }
             if let Some(id) = trace {
                 Self::trace_stage(id, "rejected", &obs);
             }
@@ -984,9 +1093,6 @@ impl Service {
         if late {
             self.stats.dropped_late += 1;
             report.dropped_late += 1;
-            if telemetry::metrics_enabled() {
-                telemetry::counter("serve.dropped_late").incr();
-            }
             if let Some(id) = trace {
                 Self::trace_stage(id, "dropped_late", &obs);
             }
@@ -1006,9 +1112,6 @@ impl Service {
         if let Some(&old_speed) = self.seen.get(&key) {
             self.stats.duplicates += 1;
             report.duplicates += 1;
-            if telemetry::metrics_enabled() {
-                telemetry::counter("serve.duplicates").incr();
-            }
             if let Some(id) = trace {
                 Self::trace_stage(id, "duplicate", &obs);
             }
@@ -1031,13 +1134,10 @@ impl Service {
         if new_count > 0.0 {
             self.digest ^= cell_hash(abs_slot, obs.segment as u32, new_sum, new_count);
         }
-        self.dirty_cells.insert((abs_slot, obs.segment as u32));
+        self.dirty_set.mark_cell(abs_slot, obs.segment);
         self.seen.insert(key, obs.speed_kmh);
         self.stats.admitted += 1;
         report.admitted += 1;
-        if telemetry::metrics_enabled() {
-            telemetry::counter("serve.admitted").incr();
-        }
         if let Some(id) = trace {
             // Window placement: the slot row this report's speed landed
             // in — `slot` is `Some` and in-window past the rules above.
@@ -1055,9 +1155,15 @@ impl Service {
         self.dirty = true;
     }
 
-    /// Drops dedup entries whose slot left the window.
+    /// Drops dedup entries whose slot left the window. Keys are only
+    /// inserted for in-window slots, so none can expire while the tail
+    /// stands still: the scan runs once per slot eviction, not per tick.
     fn prune_seen(&mut self) {
         let tail = self.window.tail_slot();
+        if tail == self.pruned_tail {
+            return;
+        }
+        self.pruned_tail = tail;
         let start = self.config.start_s;
         let slot_len = self.config.slot_len_s;
         self.seen.retain(|&(_, ts, _), _| match ts.checked_sub(start) {
@@ -1071,11 +1177,10 @@ impl Service {
     /// of the watchdog. Returns whether the solve blew its budget.
     fn settle_solved(&mut self, wall: Duration) -> bool {
         self.dirty = false;
-        self.dirty_cells.clear();
-        self.evicted_cols.clear();
+        self.dirty_set.clear();
         self.stats.solves += 1;
-        if telemetry::metrics_enabled() {
-            telemetry::counter("serve.solves").incr();
+        if let Some(m) = ServeMetrics::get(&mut self.metrics) {
+            m.solves.incr();
         }
         // Watchdog, sweep half: after a successful (possibly cold)
         // solve, clamp subsequent warm solves.
@@ -1087,8 +1192,8 @@ impl Service {
         let over_budget = self.config.solve_budget.is_some_and(|budget| wall > budget);
         if over_budget {
             self.stats.degraded += 1;
-            if telemetry::metrics_enabled() {
-                telemetry::counter("serve.degraded").incr();
+            if let Some(m) = ServeMetrics::get(&mut self.metrics) {
+                m.degraded.incr();
             }
         }
         over_budget
@@ -1098,8 +1203,8 @@ impl Service {
     /// invalidation. The window stays dirty so the next tick retries.
     fn settle_degraded(&mut self) {
         self.stats.degraded += 1;
-        if telemetry::metrics_enabled() {
-            telemetry::counter("serve.degraded").incr();
+        if let Some(m) = ServeMetrics::get(&mut self.metrics) {
+            m.degraded.incr();
         }
         self.last_solve_key = None;
         if let Some(last) = &mut self.last_good {
@@ -1130,18 +1235,7 @@ impl Service {
         if shift >= m {
             return None;
         }
-        let tail = self.window.tail_slot();
-        let mut rows: Vec<usize> = self.dirty_cells.iter().map(|&(s, _)| s - tail).collect();
-        rows.sort_unstable();
-        rows.dedup();
-        let mut cols: Vec<u32> = self
-            .dirty_cells
-            .iter()
-            .map(|&(_, j)| j)
-            .chain(self.evicted_cols.iter().copied())
-            .collect();
-        cols.sort_unstable();
-        cols.dedup();
+        let (rows, cols) = self.dirty_set.rows_cols(self.window.tail_slot(), head);
         // Unit-solve cost model: a dirty row costs O(n) to gather and
         // propagate, a dirty column O(m), and each shifted-in row O(n);
         // a full sweep costs O(m·n) per sweep.
@@ -1169,8 +1263,8 @@ impl Service {
         if self.last_good.is_some() && self.last_solve_key == Some(key) {
             let wall = t0.elapsed();
             self.solve_stats.cache_hits += 1;
-            if telemetry::metrics_enabled() {
-                telemetry::counter("serve.solve_cache_hit").incr();
+            if let Some(m) = ServeMetrics::get(&mut self.metrics) {
+                m.solve_cache_hit.incr();
             }
             let over_budget = self.settle_solved(wall);
             if span.is_enabled() {
@@ -1183,8 +1277,8 @@ impl Service {
             return (true, over_budget, wall);
         }
         self.solve_stats.cache_misses += 1;
-        if telemetry::metrics_enabled() {
-            telemetry::counter("serve.solve_cache_miss").incr();
+        if let Some(m) = ServeMetrics::get(&mut self.metrics) {
+            m.solve_cache_miss.incr();
         }
         // Path 2: incremental dirty-set pass.
         if let Some((rows, cols)) = self.incremental_plan() {
@@ -1202,9 +1296,9 @@ impl Service {
                 Ok(inc) => {
                     self.solve_stats.incremental_solves += 1;
                     self.solve_stats.rows_resolved += inc.rows_resolved as u64;
-                    if telemetry::metrics_enabled() {
-                        telemetry::counter("serve.incremental_solves").incr();
-                        telemetry::counter("serve.rows_resolved").add(inc.rows_resolved as u64);
+                    if let Some(m) = ServeMetrics::get(&mut self.metrics) {
+                        m.incremental_solves.incr();
+                        m.rows_resolved.add(inc.rows_resolved as u64);
                     }
                     let over_budget = self.settle_solved(wall);
                     if span.is_enabled() {

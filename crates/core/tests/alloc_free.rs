@@ -11,7 +11,9 @@
 //! The same allocator also proves the streaming service's tick hot
 //! path is free when observability is off: steady-state empty ticks
 //! allocate nothing, and configuring `trace_sample` costs nothing while
-//! the telemetry level keeps tracing disabled.
+//! the telemetry level keeps tracing disabled. With metrics on,
+//! admission allocates nothing per report either: a batch of 512
+//! reports costs the same allocations as a batch of 8.
 //!
 //! The allocator is process-global, so this file holds exactly one test.
 
@@ -116,6 +118,11 @@ fn sweep_loop_allocations_do_not_scale_with_units() {
     // --- Kernel variants allocate identically ------------------------
     // (Same test fn, same reason.)
     kernel_variants_allocate_identically();
+
+    // --- Admission with metrics on ------------------------------------
+    // (Same test fn, same reason; runs last because it flips the
+    // global metrics switch.)
+    admission_allocations_do_not_scale_with_batch_when_metrics_are_on();
 }
 
 /// The fixed-rank and unrolled kernels must match the scalar reference
@@ -261,4 +268,57 @@ fn service_tick_is_allocation_free_when_observability_is_off() {
         s.solve_stats()
     );
     assert_eq!(cache_ticks, 0, "cache-hit ticks allocated {cache_ticks} times");
+}
+
+/// Re-delivers `batch` reports with integer speeds over a 4 × 4 window:
+/// every key was admitted before, so each report retracts and re-adds
+/// its speed exactly and the window content lands back on the solved
+/// value — a solve-cache hit, leaving admission as the tick's only work.
+fn push_batch(s: &mut Service, batch: u64) {
+    for v in 0..batch {
+        s.push(Observation {
+            vehicle: v,
+            timestamp_s: (v % 4) * 60,
+            segment: (v % 4) as usize,
+            speed_kmh: 30.0 + (v % 8) as f64,
+        });
+    }
+}
+
+fn admission_allocations_do_not_scale_with_batch_when_metrics_are_on() {
+    telemetry::set_metrics_enabled(true);
+    let admitted = telemetry::counter("serve.admitted");
+    let measure = |batch: u64| {
+        let cfg = ServeConfig::builder()
+            .slot_len_s(60)
+            .window_slots(4)
+            .num_segments(4)
+            .cs(CsConfig { rank: 2, lambda: 0.1, num_threads: 1, ..CsConfig::default() })
+            .build()
+            .unwrap();
+        let mut s = Service::new(cfg).unwrap();
+        // Warm up: metric handles resolved, queue/pending/dedup grown,
+        // estimator warm.
+        for _ in 0..3 {
+            push_batch(&mut s, batch);
+            s.tick();
+        }
+        let counted = admitted.get();
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        for _ in 0..5 {
+            push_batch(&mut s, batch);
+            s.tick();
+        }
+        let allocs = ALLOCATIONS.load(Ordering::Relaxed) - before;
+        assert_eq!(admitted.get() - counted, 5 * batch, "metrics must count every admission");
+        allocs
+    };
+    let small = measure(8);
+    let large = measure(512);
+    telemetry::set_metrics_enabled(false);
+    assert_eq!(
+        large, small,
+        "with metrics on, 5 ticks of 512 reports allocated {large} times vs {small} for 8 — \
+         admission is allocating per report"
+    );
 }

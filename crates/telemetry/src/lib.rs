@@ -34,7 +34,9 @@ pub mod sink;
 mod span;
 
 pub use fnv::Fnv;
-pub use metrics::{counter, gauge, histogram, Counter, Gauge, Histogram, MetricSnapshot};
+pub use metrics::{
+    counter, gauge, histogram, registry_epoch, Counter, Gauge, Histogram, MetricSnapshot,
+};
 pub use sink::{CaptureSink, JsonlSink, PrettySink, Record, RecordKind, Sink};
 pub use span::{span, Span};
 

@@ -124,6 +124,33 @@ impl Histogram {
         update_float(&self.max_bits, |cur| cur.max(v));
     }
 
+    /// Adds every observation of `other` to `self`, as if each had been
+    /// observed here: bucket counts and the count add up, min and max
+    /// combine, so quantiles match observing both streams directly. The
+    /// sum takes `other`'s total in one addition, so it can differ from
+    /// one-by-one observation by float re-association. Merging an empty
+    /// histogram is a no-op. Lets a hot loop observe into a private
+    /// histogram and publish to a shared one once per batch.
+    pub fn merge(&self, other: &Histogram) {
+        let count = other.count();
+        if count == 0 {
+            return;
+        }
+        for (dst, src) in self.buckets.iter().zip(&other.buckets) {
+            let c = src.load(Ordering::Relaxed);
+            if c > 0 {
+                dst.fetch_add(c, Ordering::Relaxed);
+            }
+        }
+        self.count.fetch_add(count, Ordering::Relaxed);
+        let sum = other.sum();
+        let min = f64::from_bits(other.min_bits.load(Ordering::Relaxed));
+        let max = f64::from_bits(other.max_bits.load(Ordering::Relaxed));
+        update_float(&self.sum_bits, |cur| cur + sum);
+        update_float(&self.min_bits, |cur| cur.min(min));
+        update_float(&self.max_bits, |cur| cur.max(max));
+    }
+
     /// Total number of observations.
     pub fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed)
@@ -247,6 +274,20 @@ enum Metric {
     Counter(Arc<Counter>),
     Gauge(Arc<Gauge>),
     Histogram(Arc<Histogram>),
+}
+
+/// Bumped whenever the registry is cleared; see [`registry_epoch`].
+/// `Relaxed` suffices: the epoch publishes no data, and a cache that
+/// sees it change re-resolves through the registry mutex, which orders
+/// it after the clear.
+static REGISTRY_EPOCH: AtomicU64 = AtomicU64::new(0);
+
+/// The registry's generation: it changes whenever the registry is
+/// cleared (only [`crate::reset_for_tests`] does that). A process-wide
+/// cache of metric handles compares it to know that its handles are
+/// still the registered ones.
+pub fn registry_epoch() -> u64 {
+    REGISTRY_EPOCH.load(Ordering::Relaxed)
 }
 
 fn registry() -> &'static Mutex<BTreeMap<String, Metric>> {
@@ -448,4 +489,5 @@ pub fn snapshot() -> Vec<MetricSnapshot> {
 /// Empties the registry (test-only; see [`crate::reset_for_tests`]).
 pub(crate) fn clear_registry() {
     registry().lock().expect("metric registry poisoned").clear();
+    REGISTRY_EPOCH.fetch_add(1, Ordering::Relaxed);
 }

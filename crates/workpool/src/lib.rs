@@ -22,7 +22,9 @@
 //! threading a parameter through every call site.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, RwLock};
 use std::time::Instant;
+use telemetry::{Counter, Gauge, Histogram};
 
 /// Per-worker tallies collected only when telemetry is on (see
 /// [`FanoutTelemetry`]); zero-cost placeholders otherwise.
@@ -66,15 +68,53 @@ impl FanoutTelemetry {
             self.span.record("utilization", utilization);
         }
         if telemetry::metrics_enabled() {
-            telemetry::counter("workpool.fanouts").incr();
-            let items: u64 = stats.iter().map(|s| s.claimed).sum();
-            telemetry::counter("workpool.items").add(items);
-            for (w, s) in stats.iter().enumerate() {
-                telemetry::counter(&format!("workpool.worker.{w}.items_claimed")).add(s.claimed);
+            let m = FanoutMetrics::get(stats.len());
+            m.fanouts.incr();
+            m.items.add(stats.iter().map(|s| s.claimed).sum());
+            for (counter, s) in m.claimed.iter().zip(stats) {
+                counter.add(s.claimed);
             }
-            telemetry::gauge("workpool.utilization").set(utilization);
-            telemetry::histogram("workpool.fanout_us").observe(wall_ns as f64 / 1e3);
+            m.utilization.set(utilization);
+            m.fanout_us.observe(wall_ns as f64 / 1e3);
         }
+    }
+}
+
+/// The `workpool.*` metric handles, resolved from the telemetry
+/// registry once per registry epoch (and again when a fan-out has more
+/// workers than the cached set covers), so a metrics-on fan-out takes
+/// no registry lock and formats no names.
+struct FanoutMetrics {
+    epoch: u64,
+    fanouts: Arc<Counter>,
+    items: Arc<Counter>,
+    utilization: Arc<Gauge>,
+    fanout_us: Arc<Histogram>,
+    /// `workpool.worker.{w}.items_claimed`, indexed by worker `w`.
+    claimed: Vec<Arc<Counter>>,
+}
+
+impl FanoutMetrics {
+    /// The cached handles, covering at least `workers` workers.
+    fn get(workers: usize) -> Arc<Self> {
+        static CACHE: RwLock<Option<Arc<FanoutMetrics>>> = RwLock::new(None);
+        let epoch = telemetry::registry_epoch();
+        let cached = CACHE.read().expect("fan-out metric cache poisoned").clone();
+        if let Some(m) = cached.filter(|m| m.epoch == epoch && m.claimed.len() >= workers) {
+            return m;
+        }
+        let m = Arc::new(Self {
+            epoch,
+            fanouts: telemetry::counter("workpool.fanouts"),
+            items: telemetry::counter("workpool.items"),
+            utilization: telemetry::gauge("workpool.utilization"),
+            fanout_us: telemetry::histogram("workpool.fanout_us"),
+            claimed: (0..workers)
+                .map(|w| telemetry::counter(&format!("workpool.worker.{w}.items_claimed")))
+                .collect(),
+        });
+        *CACHE.write().expect("fan-out metric cache poisoned") = Some(Arc::clone(&m));
+        m
     }
 }
 
