@@ -29,7 +29,7 @@
 
 use criterion::{black_box, Criterion};
 use linalg::kernel::{set_kernel_override, KernelVariant};
-use linalg::lstsq::{solve_normal_equations, GramScratch};
+use linalg::lstsq::solve_normal_equations;
 use linalg::Matrix;
 use probes::mask::random_mask;
 use probes::Tcm;
@@ -167,18 +167,6 @@ fn measure(f: impl FnOnce() -> Matrix) -> (f64, usize) {
     (secs, ALLOCATIONS.load(Ordering::Relaxed) - allocs_before)
 }
 
-/// Whether the `kernel` feature reached `linalg` through the dependency
-/// graph. Probed at runtime (an override that sticks) so the bench
-/// doesn't re-plumb the feature flag: with the feature off, `auto`
-/// pins every solve to the scalar reference and per-variant timing
-/// would measure the same code path five times.
-fn kernel_feature_active() -> bool {
-    set_kernel_override(Some(KernelVariant::Unrolled));
-    let picked = GramScratch::new(3).variant();
-    set_kernel_override(None);
-    picked == KernelVariant::Unrolled
-}
-
 fn bench_als_kernel(c: &mut Criterion) {
     let (tcm, cfg, _) = bench_problem();
     let mut group = c.benchmark_group("als_kernel");
@@ -193,14 +181,12 @@ fn bench_als_kernel(c: &mut Criterion) {
     group.bench_function("gram_kernel_all_cores", |b| {
         b.iter(|| black_box(complete_matrix(&tcm, &all_cores).unwrap()))
     });
-    if kernel_feature_active() {
-        for variant in KernelVariant::supported(cfg.rank) {
-            set_kernel_override(Some(variant));
-            group.bench_function(format!("gram_kernel_{}_1_thread", variant.name()), |b| {
-                b.iter(|| black_box(complete_matrix(&tcm, &cfg).unwrap()))
-            });
-            set_kernel_override(None);
-        }
+    for variant in KernelVariant::supported(cfg.rank) {
+        set_kernel_override(Some(variant));
+        group.bench_function(format!("gram_kernel_{}_1_thread", variant.name()), |b| {
+            b.iter(|| black_box(complete_matrix(&tcm, &cfg).unwrap()))
+        });
+        set_kernel_override(None);
     }
     group.finish();
 }
@@ -278,7 +264,6 @@ fn write_bench_json() -> bool {
     let (tcm, cfg, quick) = bench_problem();
     let (m, n) = tcm.values().shape();
     let sweeps = cfg.iterations;
-    let feature_on = kernel_feature_active();
 
     // Warm-up: prime lazy globals and the page cache out of band.
     let _ = complete_matrix(&tcm, &cfg).unwrap();
@@ -286,16 +271,9 @@ fn write_bench_json() -> bool {
     let (kern_secs, kern_allocs) = measure(|| complete_matrix(&tcm, &cfg).unwrap());
     let speedup = base_secs / kern_secs;
 
-    // Per-variant runs. With the feature off every variant resolves to
-    // scalar, so only the scalar row is honest — record just that one.
-    let variants: Vec<KernelVariant> = if feature_on {
-        KernelVariant::supported(cfg.rank).collect()
-    } else {
-        vec![KernelVariant::Scalar]
-    };
-    let kernels: Vec<(KernelVariant, f64, usize)> = variants
-        .iter()
-        .map(|&v| {
+    // Per-variant runs, the scalar reference first.
+    let kernels: Vec<(KernelVariant, f64, usize)> = KernelVariant::supported(cfg.rank)
+        .map(|v| {
             let (secs, allocs) = measure_variant(&tcm, &cfg, v);
             (v, secs, allocs)
         })
@@ -314,7 +292,6 @@ fn write_bench_json() -> bool {
         ("schema".into(), Json::Str("cs-traffic-bench-als/v2".into())),
         ("bench".into(), Json::Str("als_kernel".into())),
         ("quick".into(), Json::Bool(quick)),
-        ("kernel_feature".into(), Json::Bool(feature_on)),
         ("slots".into(), Json::Num(m as f64)),
         ("segments".into(), Json::Num(n as f64)),
         ("rank".into(), Json::Num(cfg.rank as f64)),

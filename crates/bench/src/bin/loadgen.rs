@@ -1,7 +1,7 @@
 //! `loadgen` — closed-loop load generator for the streaming service.
 //!
 //! Drives a deterministic synthetic probe stream through the real
-//! `traffic_cs::service::Service`, binary-searches the maximum
+//! `traffic_cs::sharded::ShardedService`, binary-searches the maximum
 //! sustainable throughput under the `results/SLO.toml` budget, and
 //! writes `results/BENCH_serve.json` (schema
 //! `cs-traffic-bench-serve/v3`) plus one summary line appended to

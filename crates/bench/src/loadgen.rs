@@ -1,7 +1,7 @@
 //! Closed-loop load generator for the streaming estimation service.
 //!
 //! A deterministic (seeded) synthetic probe stream is pushed through a
-//! real [`Service`] at a target *offered rate* (reports per simulated
+//! real single-shard [`ShardedService`] at a target *offered rate* (reports per simulated
 //! second); every measured tick samples its wall-clock drain, solve,
 //! and end-to-end latency into [`telemetry::Histogram`]s, and
 //! [`search_max_rate`] binary-searches for the **maximum sustainable
@@ -47,8 +47,8 @@ use telemetry::json::Json;
 use telemetry::Histogram;
 use traffic_cs::cs::CsConfig;
 use traffic_cs::daemon::{Daemon, DaemonConfig, DaemonError, DaemonStats};
-use traffic_cs::service::{Observation, ServeConfig, ServeStats, Service, SolveStats};
-use traffic_cs::sharded::ShardPlan;
+use traffic_cs::service::{Observation, ServeConfig, ServeStats, SolveStats};
+use traffic_cs::sharded::{ShardPlan, ShardedService};
 use traffic_cs::{ConfigError, Error};
 
 /// SplitMix64 — the stream RNG, hand-rolled so the offered stream is a
@@ -312,7 +312,7 @@ pub struct LegReport {
     pub drop_rate: f64,
     /// `degraded / solves` over the measured phase (0 when no solves).
     pub degrade_rate: f64,
-    /// Tick-drain latency quantiles (µs), from [`Service::tick`].
+    /// Tick-drain latency quantiles (µs), from [`ShardedService::tick`].
     pub tick_us: Quantiles,
     /// Solve latency quantiles (µs).
     pub solve_us: Quantiles,
@@ -364,7 +364,8 @@ pub fn run_leg(cfg: &LoadConfig, rate: f64) -> Result<LegReport, Error> {
     if !rate.is_finite() || rate <= 0.0 {
         return Err(ConfigError::new("rate", "offered rate must be positive and finite").into());
     }
-    let mut service = Service::new(cfg.serve_config(cfg.effective_queue_capacity(rate), 1)?)?;
+    let mut service =
+        ShardedService::new(cfg.serve_config(cfg.effective_queue_capacity(rate), 1)?)?;
     let dt = cfg.slot_len_s / cfg.ticks_per_slot;
     let mut rng = SplitMix64::new(cfg.seed);
     let mut hash = Fnv::new();
@@ -387,7 +388,7 @@ pub fn run_leg(cfg: &LoadConfig, rate: f64) -> Result<LegReport, Error> {
             solve_stats_at_warmup = service.solve_stats();
             // Forget warm-up latencies so the e2e quantiles cover the
             // measured phase only, like the counter deltas.
-            service.e2e_histogram().reset();
+            service.reset_e2e_histogram();
         }
         let t0_s = k as u64 * dt;
         // Fixed-point pacing: the fractional report budget carries over
@@ -445,7 +446,7 @@ pub fn run_leg(cfg: &LoadConfig, rate: f64) -> Result<LegReport, Error> {
         degrade_rate,
         tick_us: Quantiles::from_histogram(&tick_hist),
         solve_us: Quantiles::from_histogram(&solve_hist),
-        e2e_us: Quantiles::from_histogram(service.e2e_histogram()),
+        e2e_us: Quantiles::from_histogram(&service.e2e_histogram()),
         stream_hash: hash.finish(),
     })
 }

@@ -13,7 +13,7 @@
 //!    watchdog knobs, and checkpoint corruption.
 //! 2. **A simulation run** ([`sim::run`]) — a synthetic probe stream
 //!    from the `traffic-sim` ground-truth model replayed tick by tick
-//!    through a real [`Service`], with the plan's faults injected into
+//!    through a real [`ShardedService`], with the plan's faults injected into
 //!    the byte stream, and every injection logged.
 //! 3. **A differential oracle** ([`oracle::Mirror`]) — an independent
 //!    re-implementation of the admission/backpressure/window semantics
@@ -33,7 +33,7 @@
 //! against a live sharded daemon, with a predicted-delivered replay as
 //! the oracle — `cs-traffic-cli chaos-net` runs the sweep.
 //!
-//! [`Service`]: traffic_cs::Service
+//! [`ShardedService`]: traffic_cs::ShardedService
 
 pub mod codec;
 pub mod net;

@@ -3,8 +3,8 @@
 //! solve-scheduling semantics, built on plain `Vec`s and a modular ring
 //! instead of the service's `VecDeque` machinery.
 //!
-//! The mirror is fed the *same* observation stream as the real
-//! [`Service`] and predicts, exactly:
+//! The mirror is fed the *same* observation stream as a real
+//! single-shard [`ShardedService`] and predicts, exactly:
 //!
 //! * every [`ServeStats`] counter (admitted / rejected / dropped_late /
 //!   duplicates / queue_dropped / solves / degraded),
@@ -16,12 +16,12 @@
 //! `probes::StreamingTcm`), agreement is evidence of correct behaviour
 //! rather than of a common bug.
 //!
-//! [`Service`]: traffic_cs::Service
+//! [`ShardedService`]: traffic_cs::ShardedService
 
 use std::collections::{HashMap, VecDeque};
 use traffic_cs::service::{Backpressure, Observation, ServeStats};
 
-/// Independent model of one `Service`'s observable state.
+/// Independent model of one engine shard's observable state.
 #[derive(Debug, Clone)]
 pub struct Mirror {
     start_s: u64,
@@ -85,7 +85,7 @@ impl Mirror {
         self.stats
     }
 
-    /// Predicts `Service::latest().is_some()`.
+    /// Predicts `ShardedService::latest().is_some()`.
     pub fn has_estimate(&self) -> bool {
         self.has_estimate
     }
@@ -99,7 +99,7 @@ impl Mirror {
         timestamp_s.checked_sub(self.start_s).map(|d| (d / self.slot_len_s) as usize)
     }
 
-    /// Mirrors `Service::push`: same bound, same policy, same counter.
+    /// Mirrors `ShardedService::push`: same bound, same policy, same counter.
     pub fn push(&mut self, obs: Observation) {
         if self.queue.len() >= self.queue_capacity {
             self.stats.queue_dropped += 1;
@@ -126,7 +126,7 @@ impl Mirror {
         self.head_slot = slot;
     }
 
-    /// Mirrors `Service::admit` rule for rule, in the same order.
+    /// Mirrors the engine's admission rules rule for rule, in the same order.
     fn admit(&mut self, obs: Observation) {
         if !obs.speed_kmh.is_finite() || obs.speed_kmh < 0.0 || obs.segment >= self.num_segments {
             self.stats.rejected += 1;
@@ -183,7 +183,7 @@ impl Mirror {
         self.counts.iter().flat_map(|row| row.iter()).filter(|&&c| c > 0.0).count()
     }
 
-    /// Mirrors `Service::tick`: drain, prune, then predict the solve
+    /// Mirrors `ShardedService::tick`: drain, prune, then predict the solve
     /// outcome. `zero_budget` marks a tick sabotaged with a zero
     /// wall-clock budget (a successful solve also counts as degraded).
     pub fn tick(&mut self, zero_budget: bool) {
@@ -196,7 +196,7 @@ impl Mirror {
         }
     }
 
-    /// Mirrors `Service::refresh` (no sabotage active).
+    /// Mirrors `ShardedService::refresh` (no sabotage active).
     pub fn refresh(&mut self) {
         self.dirty = true;
         self.predict_solve(false);
@@ -220,7 +220,7 @@ impl Mirror {
 
     /// Materializes the predicted window as a [`probes::Tcm`], row 0 =
     /// oldest slot — for bit-for-bit comparison against
-    /// `Service::window_snapshot` and for the offline replay solve.
+    /// `ShardedService::window_snapshot` and for the offline replay solve.
     pub fn expected_tcm(&self) -> probes::Tcm {
         let m = self.window_slots;
         let n = self.num_segments;
@@ -244,13 +244,13 @@ impl Mirror {
 mod tests {
     use super::*;
     use traffic_cs::service::ServeConfig;
-    use traffic_cs::Service;
+    use traffic_cs::ShardedService;
 
     fn obs(vehicle: u64, ts: u64, segment: usize, speed: f64) -> Observation {
         Observation { vehicle, timestamp_s: ts, segment, speed_kmh: speed }
     }
 
-    fn pair(policy: Backpressure, capacity: usize) -> (Service, Mirror) {
+    fn pair(policy: Backpressure, capacity: usize) -> (ShardedService, Mirror) {
         let cfg = ServeConfig::builder()
             .start_s(600)
             .slot_len_s(60)
@@ -260,7 +260,7 @@ mod tests {
             .backpressure(policy)
             .build()
             .unwrap();
-        let service = Service::new(cfg).unwrap();
+        let service = ShardedService::new(cfg).unwrap();
         let mirror = Mirror::new(600, 60, 4, 3, capacity, policy);
         (service, mirror)
     }

@@ -71,7 +71,6 @@ impl std::error::Error for AnomalyError {}
 
 /// How the "normal traffic" baseline is formed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Baseline {
     /// Per-segment seasonal median: the baseline for slot `t` is the
     /// median across days of the same time-of-day on the same segment.
@@ -94,7 +93,6 @@ pub enum Baseline {
 
 /// Detector parameters.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AnomalyConfig {
     /// Baseline construction.
     pub baseline: Baseline,
@@ -133,7 +131,6 @@ impl Default for AnomalyConfig {
 /// A detected anomaly: a maximal run of consecutive anomalous slots on
 /// one segment.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DetectedAnomaly {
     /// Segment column.
     pub segment: usize,

@@ -27,7 +27,6 @@ use probes::Tcm;
 /// How MSSA extracts the leading EOFs of the lag-covariance matrix —
 /// the cost driver behind the paper's Table 2.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum EigBackend {
     /// Full Jacobi eigendecomposition (`O(w³)`), matching the classic
     /// MATLAB implementation the paper timed.
@@ -41,7 +40,6 @@ pub enum EigBackend {
 
 /// MSSA parameters.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MssaConfig {
     /// Embedding window `M` in time slots; the paper sets `M = 24`
     /// following \[40\] (one day at hourly granularity).

@@ -33,7 +33,6 @@ use telemetry::Level;
 /// How `L` is initialized before the alternating sweeps — the `als_init`
 /// ablation of DESIGN.md.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Initialization {
     /// Uniform random entries in `[0, 1)` — the paper's choice.
     #[default]
@@ -46,7 +45,6 @@ pub enum Initialization {
 
 /// Parameters of Algorithm 1.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CsConfig {
     /// Rank bound `r` — the number of columns of `L` and `R` (Eq. 18).
     /// Paper's GA finds `r = 2` optimal for the evaluation matrices.

@@ -23,7 +23,6 @@ pub const SPIKE_SIGMA: f64 = 4.0;
 
 /// The three eigenflow types of Eq. 10.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum EigenflowType {
     /// Type 1: the FFT magnitude contains a spike (periodic flow).
     Periodic,

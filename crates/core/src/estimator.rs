@@ -12,7 +12,6 @@ use probes::Tcm;
 
 /// Which algorithm an [`Estimator`] runs — handy for tabulating results.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum EstimatorKind {
     /// The paper's compressive-sensing algorithm (Algorithm 1).
     CompressiveSensing,

@@ -23,7 +23,6 @@ use rand::{RngExt, SeedableRng};
 
 /// Parameters of the genetic search.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct GaConfig {
     /// Population size.
     pub population: usize,

@@ -1,11 +1,13 @@
-//! Fault-tolerant streaming estimation service.
+//! The streaming estimation loop each shard of
+//! [`ShardedService`](crate::sharded::ShardedService) runs, and the
+//! types the engine's surface speaks: [`Observation`], [`ServeConfig`],
+//! [`LiveEstimate`], [`ServeStats`], [`SolveStats`] and [`TickReport`].
 //!
-//! [`Service`] is the control loop behind `cs-traffic-cli serve`: probe
-//! observations stream in, a sliding window of time slots is maintained
-//! ([`probes::stream::StreamingTcm`]), each closed window is completed
-//! with warm starts ([`crate::online::OnlineEstimator`]), and the latest
-//! estimate is always available to queries — even when the input is bad
-//! or a solve fails.
+//! Probe observations stream in, a sliding window of time slots is
+//! maintained ([`probes::stream::StreamingTcm`]), each closed window is
+//! completed with warm starts ([`crate::online::OnlineEstimator`]), and
+//! the latest estimate is always available to queries — even when the
+//! input is bad or a solve fails.
 //!
 //! The loop is robust **by design**, not by `catch_unwind`:
 //!
@@ -24,7 +26,7 @@
 //!   (`f64::to_bits`) round-tripping, so a restarted process converges
 //!   in a couple of sweeps instead of a cold start.
 //!
-//! Everything the loop swallows is visible: the service keeps local
+//! Everything the loop swallows is visible: each shard keeps local
 //! [`ServeStats`] and, when metrics are enabled, mirrors them into the
 //! `serve.admitted` / `serve.dropped_late` / `serve.rejected` /
 //! `serve.duplicates` / `serve.degraded` / `serve.solves` (plus
@@ -33,7 +35,7 @@
 //! into the `serve.tick_us` / `serve.solve_us` log₂ histograms through
 //! the `telemetry` crate. [`TickReport`] carries the same timings per
 //! tick for callers without a sink. Admission touches only
-//! service-local state: every metric handle is resolved once, the
+//! shard-local state: every metric handle is resolved once, the
 //! admission counters are added from the [`TickReport`] deltas, so they
 //! become visible once per tick, not per report, and `serve.e2e_us` is
 //! merged in once per tick from a local scratch histogram. Each admitted
@@ -58,28 +60,6 @@
 //! [`ServeConfig::flight_dump`] is set, the installed
 //! [`telemetry::flight`] recorder dumps the last-N records to that path
 //! for post-mortem (`cs-traffic-cli inspect --dump`).
-//!
-//! # Example
-//!
-//! ```
-//! use traffic_cs::cs::CsConfig;
-//! use traffic_cs::service::{Observation, ServeConfig, Service};
-//!
-//! let cfg = ServeConfig::builder()
-//!     .slot_len_s(60)
-//!     .window_slots(4)
-//!     .num_segments(3)
-//!     .cs(CsConfig { rank: 2, lambda: 0.1, ..CsConfig::default() })
-//!     .build()?;
-//! let mut service = Service::new(cfg)?;
-//! for t in 0..240 {
-//!     service.push(Observation { vehicle: t, timestamp_s: t, segment: (t % 3) as usize, speed_kmh: 30.0 });
-//! }
-//! let report = service.tick();
-//! assert_eq!(report.admitted, 240);
-//! assert!(service.latest().is_some());
-//! # Ok::<(), traffic_cs::Error>(())
-//! ```
 
 use crate::cs::CsConfig;
 use crate::error::{ConfigError, Error};
@@ -164,11 +144,11 @@ impl From<std::io::Error> for ServeError {
     }
 }
 
-/// Configuration of a [`Service`].
+/// Configuration of a [`ShardedService`](crate::sharded::ShardedService).
 ///
 /// Construct via [`ServeConfig::builder`] for validation, or as a struct
 /// literal over [`ServeConfig::default`] (validated by
-/// [`Service::new`] anyway).
+/// `ShardedService::new` anyway).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeConfig {
     /// Absolute start of the slot grid, in seconds.
@@ -212,10 +192,8 @@ pub struct ServeConfig {
     /// fraction of the full `window_slots × num_segments` sweep cost.
     /// Past it, a full sweep is cheaper anyway.
     pub incremental_threshold: f64,
-    /// Segment-range shard layout for [`ShardedService`]; a bare
-    /// [`Service`] requires the single-shard plan.
-    ///
-    /// [`ShardedService`]: crate::sharded::ShardedService
+    /// Segment-range shard layout for
+    /// [`ShardedService`](crate::sharded::ShardedService).
     pub shards: crate::sharded::ShardPlan,
 }
 
@@ -465,7 +443,7 @@ pub struct SolveStats {
     pub rows_resolved: u64,
 }
 
-/// Outcome of one [`Service::tick`].
+/// Outcome of one engine tick (summed over shards).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TickReport {
     /// Reports admitted this tick.
@@ -634,9 +612,14 @@ struct Queued {
     enqueued: Instant,
 }
 
-/// The streaming estimation loop. See the [module docs](self).
+/// The streaming estimation loop of one shard. See the
+/// [module docs](self).
+///
+/// The `pub(crate)` fields are plain counters the engine
+/// ([`crate::sharded`]) reads directly; state that other fields must
+/// stay consistent with is reached through methods.
 #[derive(Debug)]
-pub struct Service {
+pub(crate) struct Service {
     config: ServeConfig,
     queue: VecDeque<Queued>,
     window: StreamingTcm,
@@ -649,21 +632,21 @@ pub struct Service {
     clock_s: u64,
     /// Window content changed since the last successful solve.
     dirty: bool,
-    stats: ServeStats,
+    pub(crate) stats: ServeStats,
     /// Lazily-resolved metric handles (`None` until the first use with
     /// metrics enabled).
     metrics: Option<ServeMetrics>,
     /// Reports pushed so far — the `ingest_seq` input of the next
     /// report's [`report_trace_id`].
-    ingest_seq: u64,
+    pub(crate) ingest_seq: u64,
     /// Reports admitted this tick, awaiting their estimate (terminal
     /// trace stage + e2e sample). Cleared in place each tick so the
     /// capacity amortizes.
     pending: Vec<(Option<u64>, Instant)>,
     /// Local end-to-end latency histogram (ingest-enqueue to
-    /// estimate-ready), always on: callers like `cs_bench::loadgen`
-    /// read it via [`Service::e2e_histogram`] without a metrics sink.
-    e2e: Histogram,
+    /// estimate-ready), always on, so callers read it without a metrics
+    /// sink.
+    pub(crate) e2e: Histogram,
     /// This tick's e2e samples, merged into `e2e` (and `serve.e2e_us`)
     /// once per tick, then reset.
     e2e_tick: Histogram,
@@ -683,7 +666,7 @@ pub struct Service {
     /// expired keys once the tail has moved past it.
     pruned_tail: usize,
     /// Solve-cache and incremental-path breakdown.
-    solve_stats: SolveStats,
+    pub(crate) solve_stats: SolveStats,
     /// Successful solves since the last full sweep — drives the
     /// [`ServeConfig::full_sweep_every`] correction pass.
     solves_since_full: u64,
@@ -692,9 +675,11 @@ pub struct Service {
 /// FNV-1a digest of one observed window cell, keyed by absolute slot so
 /// the contribution survives window slides unchanged. Hashing the raw
 /// `(sum, count)` accumulator bits — not the snapshot's `sum / count` —
-/// makes the digest exact: two windows share a digest only when every
-/// cell's accumulator state is bit-identical, which is precisely when
-/// their snapshots (and hence solves) are.
+/// means windows whose accumulator states are bit-identical (hence whose
+/// snapshots and solves are) always fold to the same digest. The
+/// converse is not guaranteed: the window digest is a 64-bit XOR fold of
+/// these values, so two different windows can collide, and a collision
+/// would make the solve cache serve a stale estimate as fresh.
 fn cell_hash(abs_slot: usize, segment: u32, sum: f64, count: f64) -> u64 {
     let mut h = telemetry::Fnv::new();
     h.write_u64(abs_slot as u64);
@@ -745,27 +730,13 @@ impl Service {
         })
     }
 
-    /// The validated configuration in use.
-    pub fn config(&self) -> &ServeConfig {
-        &self.config
-    }
-
-    /// Everything the loop counted so far.
-    pub fn stats(&self) -> ServeStats {
-        self.stats
-    }
-
-    /// Solve-cache and incremental-path breakdown of
-    /// [`ServeStats::solves`].
-    pub fn solve_stats(&self) -> SolveStats {
-        self.solve_stats
-    }
-
     /// Content key of the current window: the FNV-1a fold of the cell
-    /// digest with the window geometry and head slot. Two service
-    /// instances report the same key exactly when their windows hold
-    /// bit-identical content in the same absolute position — the
-    /// solve-cache identity, exposed for differential harnesses.
+    /// digest with the window geometry and head slot — the solve-cache
+    /// identity, exposed for differential harnesses. Windows holding
+    /// bit-identical content in the same absolute position always share
+    /// a key. The converse holds only up to 64-bit collisions of the
+    /// XOR-folded digest: two different windows *can* share a key, and
+    /// the solve cache would then serve the older estimate as fresh.
     pub fn window_key(&self) -> u64 {
         let mut h = telemetry::Fnv::new();
         h.write_u64(self.digest);
@@ -791,49 +762,28 @@ impl Service {
         self.queue.len()
     }
 
-    /// Number of reports pushed so far — the `ingest_seq` the next
-    /// [`Service::push`] will hash into its [`report_trace_id`].
-    /// Upstream producers (the CLI's line parser) use this to compute
-    /// the same trace ID before the push.
-    pub fn ingest_seq(&self) -> u64 {
-        self.ingest_seq
-    }
-
-    /// The service's local end-to-end latency histogram
-    /// (ingest-enqueue to estimate-ready, in microseconds). Always
-    /// collected, independent of the global metrics switch.
-    pub fn e2e_histogram(&self) -> &telemetry::Histogram {
-        &self.e2e
-    }
-
-    /// The current live estimate, if any window has been solved. The
-    /// [`LiveEstimate::stale`] flag tells queries whether it is degraded.
+    /// The current live estimate, if any window has been solved.
     pub fn latest(&self) -> Option<&LiveEstimate> {
         self.last_good.as_ref()
     }
 
     /// Materializes the current sliding window as a [`probes::Tcm`]
-    /// (row 0 = oldest slot). This is the exact matrix the next solve
-    /// would complete, exposed so differential harnesses can compare the
-    /// service's window content bit-for-bit against an independently
-    /// maintained model.
+    /// (row 0 = oldest slot): the exact matrix the next solve would
+    /// complete.
     pub fn window_snapshot(&self) -> probes::Tcm {
         self.window.snapshot()
     }
 
     /// Replaces the per-solve wall-clock budget at runtime (`None`
-    /// disables the check). Fault-injection harnesses use this to
-    /// sabotage a single tick's solve and verify the degradation
-    /// accounting.
+    /// disables the check).
     pub fn set_solve_budget(&mut self, budget: Option<Duration>) {
         self.config.solve_budget = budget;
     }
 
     /// Replaces the warm-sweep cap at runtime. A cap of `Some(0)` is
-    /// clamped to `Some(1)` (the validated minimum). Note that lowering
-    /// the cap is sticky on the underlying estimator until
-    /// [`Service::cold_restart`]: the estimator's iteration budget only
-    /// ever shrinks while warm.
+    /// clamped to `Some(1)` (the validated minimum). Lowering the cap
+    /// is sticky on the estimator until [`Service::cold_restart`]: its
+    /// iteration budget only ever shrinks while warm.
     pub fn set_warm_sweep_cap(&mut self, cap: Option<usize>) {
         self.config.warm_sweep_cap = cap.map(|c| c.max(1));
     }
@@ -1500,28 +1450,6 @@ impl Service {
         self.advance_clock(clock);
         Ok(())
     }
-
-    /// Writes [`Service::checkpoint`] to a file.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Io`] on filesystem failure.
-    pub fn save_checkpoint(&self, path: &std::path::Path) -> Result<(), Error> {
-        std::fs::write(path, self.checkpoint()).map_err(ServeError::Io)?;
-        Ok(())
-    }
-
-    /// Reads and applies a checkpoint file written by
-    /// [`Service::save_checkpoint`].
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Io`] on filesystem failure, plus everything
-    /// [`Service::restore`] rejects.
-    pub fn load_checkpoint(&mut self, path: &std::path::Path) -> Result<(), Error> {
-        let text = std::fs::read_to_string(path).map_err(ServeError::Io)?;
-        self.restore(&text)
-    }
 }
 
 #[cfg(test)]
@@ -1563,7 +1491,7 @@ mod tests {
         assert!(s.push(obs(1, 0, 0, 30.0)));
         assert!(s.push(obs(2, 1, 0, 31.0)));
         assert!(!s.push(obs(3, 2, 0, 32.0)), "DropNewest refuses when full");
-        assert_eq!(s.stats().queue_dropped, 1);
+        assert_eq!(s.stats.queue_dropped, 1);
         assert_eq!(s.queue_len(), 2);
 
         let cfg = ServeConfig {
@@ -1575,7 +1503,7 @@ mod tests {
         s.push(obs(1, 0, 0, 30.0));
         s.push(obs(2, 1, 0, 31.0));
         assert!(s.push(obs(3, 2, 0, 32.0)), "DropOldest admits the newest");
-        assert_eq!(s.stats().queue_dropped, 1);
+        assert_eq!(s.stats.queue_dropped, 1);
         let report = s.tick();
         // Vehicle 1's report was evicted before processing.
         assert_eq!(report.admitted, 2);
@@ -1645,7 +1573,7 @@ mod tests {
         let report = s.refresh();
         assert!(report.solved);
         let live = s.latest().unwrap().estimate.clone();
-        let offline = crate::cs::complete_matrix_detailed(&s.window_snapshot(), &s.config().cs)
+        let offline = crate::cs::complete_matrix_detailed(&s.window_snapshot(), &s.config.cs)
             .unwrap()
             .estimate;
         assert_eq!(live.shape(), offline.shape());
@@ -1658,20 +1586,184 @@ mod tests {
     fn runtime_watchdog_setters() {
         let mut s = Service::new(small_cfg()).unwrap();
         s.set_warm_sweep_cap(Some(0));
-        assert_eq!(s.config().warm_sweep_cap, Some(1), "zero cap clamps to the valid minimum");
+        assert_eq!(s.config.warm_sweep_cap, Some(1), "zero cap clamps to the valid minimum");
         s.set_warm_sweep_cap(None);
-        assert_eq!(s.config().warm_sweep_cap, None);
+        assert_eq!(s.config.warm_sweep_cap, None);
         // A zero wall-clock budget degrades every successful solve.
         s.set_solve_budget(Some(Duration::ZERO));
         s.push(obs(1, 30, 0, 40.0));
         let report = s.tick();
         assert!(report.solved && report.degraded);
-        assert_eq!(s.stats().solves, 1);
-        assert_eq!(s.stats().degraded, 1);
+        assert_eq!(s.stats.solves, 1);
+        assert_eq!(s.stats.degraded, 1);
         assert!(s.latest().unwrap().stale);
         s.set_solve_budget(None);
         let report = s.refresh();
         assert!(report.solved && !report.degraded);
         assert!(!s.latest().unwrap().stale);
+    }
+}
+
+/// Property tests of the `cs-serve-checkpoint v1` text format.
+///
+/// The checkpoint contract is stronger than "restore works": factor
+/// entries are `f64::to_bits` hex words, so *any* bit pattern — values
+/// the solver would never produce included — must survive
+/// save → restore → save byte-for-byte, and any truncation of the text
+/// must either be rejected outright or (when the cut only removes the
+/// trailing newline) restore the complete state. These properties are
+/// what the chaos harness's checkpoint faults lean on.
+#[cfg(test)]
+mod checkpoint_properties {
+    use super::*;
+    use proptest::prelude::*;
+
+    const SLOT_LEN: u64 = 60;
+    const WINDOW: usize = 4;
+    const RANK: usize = 2;
+
+    fn service() -> Service {
+        let cfg = ServeConfig::builder()
+            .slot_len_s(SLOT_LEN)
+            .window_slots(WINDOW)
+            .num_segments(3)
+            .cs(CsConfig { rank: RANK, lambda: 0.1, ..CsConfig::default() })
+            .build()
+            .unwrap();
+        Service::new(cfg).unwrap()
+    }
+
+    /// Builds checkpoint text exactly as `Service::checkpoint` would for the
+    /// given clock and factor rows, so a restore → checkpoint round trip can
+    /// be compared byte-for-byte. `head_slot` is derived the same way the
+    /// service derives it: `max(window - 1, clock / slot_len)`.
+    fn checkpoint_text(clock: u64, rows: &[[u64; RANK]]) -> String {
+        let head = (WINDOW as u64 - 1).max(clock / SLOT_LEN);
+        let mut out = format!("cs-serve-checkpoint v1\nclock {clock}\nhead_slot {head}\n");
+        out.push_str(&format!("factors {} {RANK}\n", rows.len()));
+        for row in rows {
+            let words: Vec<String> = row.iter().map(|b| format!("{b:016x}")).collect();
+            out.push_str(&words.join(" "));
+            out.push('\n');
+        }
+        out
+    }
+
+    /// Strategy: one f64 bit pattern, biased toward the extremes the format
+    /// must preserve exactly (subnormals, infinities, NaN payloads, -0.0,
+    /// the largest finite value) but also covering arbitrary raw bits.
+    fn bit_pattern() -> impl Strategy<Value = u64> {
+        (0u64..u64::MAX, 0u8..8).prop_map(|(raw, tag)| match tag {
+            0 => 0x0000_0000_0000_0001, // smallest positive subnormal
+            1 => 0x000f_ffff_ffff_ffff, // largest subnormal
+            2 => f64::INFINITY.to_bits(),
+            3 => f64::NEG_INFINITY.to_bits(),
+            4 => 0x7ff8_0000_0000_0000 | (raw & 0x0007_ffff_ffff_ffff), // NaN, arbitrary payload
+            5 => (-0.0f64).to_bits(),
+            6 => f64::MAX.to_bits(),
+            _ => raw,
+        })
+    }
+
+    fn factor_rows() -> impl Strategy<Value = Vec<[u64; RANK]>> {
+        proptest::collection::vec(
+            (bit_pattern(), bit_pattern()).prop_map(|(a, b)| [a, b]),
+            1..8usize,
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Any factor bit patterns — subnormal, infinite, NaN with payload —
+        /// survive restore → checkpoint byte-for-byte.
+        #[test]
+        fn round_trip_is_byte_identical(clock in 0u64..100_000, rows in factor_rows()) {
+            let text = checkpoint_text(clock, &rows);
+            let mut svc = service();
+            svc.restore(&text).unwrap();
+            prop_assert_eq!(svc.checkpoint(), text);
+            prop_assert_eq!(svc.clock_s(), clock);
+        }
+
+        /// Truncation at any byte either fails loudly or restores the full
+        /// state (only cutting the final newline leaves a valid prefix).
+        #[test]
+        fn truncation_is_detected_or_harmless(
+            clock in 0u64..100_000,
+            rows in factor_rows(),
+            cut_frac in 0.0f64..1.0,
+        ) {
+            let text = checkpoint_text(clock, &rows);
+            // Map the fraction onto a byte offset; the text is pure ASCII so
+            // every offset is a char boundary.
+            let cut = ((text.len() as f64) * cut_frac) as usize;
+            let mut svc = service();
+            match svc.restore(&text[..cut.min(text.len())]) {
+                // The only prefixes allowed to restore are ones encoding the
+                // complete state — re-checkpointing must reproduce the whole
+                // original text, never a shifted or partial factor matrix.
+                Ok(()) => prop_assert_eq!(svc.checkpoint(), text),
+                Err(e) => {
+                    let msg = e.to_string();
+                    prop_assert!(msg.contains("checkpoint"), "unexpected error class: {}", msg);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_special_value_round_trips_and_the_service_stays_alive() {
+        // One row per special, pinned explicitly (the property test above
+        // reaches these probabilistically; this is the deterministic record).
+        let specials = [
+            [1.0f64.to_bits(), f64::MIN_POSITIVE.to_bits()],
+            [0x0000_0000_0000_0001, 0x000f_ffff_ffff_ffff], // subnormal extremes
+            [f64::INFINITY.to_bits(), f64::NEG_INFINITY.to_bits()],
+            [0x7ff8_0000_0000_dead, 0xfff8_0000_0000_beef], // NaN payloads, both signs
+            [(-0.0f64).to_bits(), f64::MAX.to_bits()],
+        ];
+        let text = checkpoint_text(120, &specials);
+        let mut svc = service();
+        svc.restore(&text).unwrap();
+        assert_eq!(svc.checkpoint(), text);
+
+        // Poisoned warm factors must degrade, never panic: the next tick
+        // re-solves from them and the service keeps answering the API.
+        for seg in 0..3 {
+            svc.push(Observation {
+                vehicle: seg as u64,
+                timestamp_s: 130,
+                segment: seg,
+                speed_kmh: 30.0,
+            });
+        }
+        svc.tick();
+        let _ = svc.stats;
+    }
+
+    #[test]
+    fn head_slot_is_derived_from_clock_not_trusted() {
+        // A checkpoint claiming an inconsistent head_slot restores from its
+        // clock: the re-checkpointed head is max(window-1, clock/slot_len).
+        // Pinning this documents why crafted texts must use the derived head
+        // to round-trip byte-identically.
+        let mut text = checkpoint_text(600, &[[1.0f64.to_bits(), 2.0f64.to_bits()]]);
+        text = text.replace("head_slot 10", "head_slot 999");
+        let mut svc = service();
+        svc.restore(&text).unwrap();
+        assert!(svc.checkpoint().contains("head_slot 10\n"));
+    }
+
+    #[test]
+    fn rank_mismatch_is_rejected_as_config_error() {
+        // cols != configured rank: factors from another configuration must
+        // not silently mis-seed the solver.
+        let text = "cs-serve-checkpoint v1\nclock 0\nhead_slot 3\nfactors 2 3\n\
+                    3ff0000000000000 3ff0000000000000 3ff0000000000000\n\
+                    3ff0000000000000 3ff0000000000000 3ff0000000000000\n";
+        let mut svc = service();
+        let err = svc.restore(text).unwrap_err().to_string();
+        assert!(err.contains("rank") || err.contains("warm_factors"), "got: {err}");
     }
 }

@@ -25,7 +25,6 @@ use rand::SeedableRng;
 
 /// How per-cell probe counts map to least-squares weights.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum WeightScheme {
     /// `w = 1` for every observed cell — recovers plain Algorithm 1.
     Uniform,

@@ -23,7 +23,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use linalg::Matrix;
 use probes::Tcm;
 use traffic_cs::cs::{complete_matrix, CsConfig};
-use traffic_cs::service::{Observation, ServeConfig, Service};
+use traffic_cs::service::{Observation, ServeConfig};
+use traffic_cs::sharded::ShardedService;
 
 struct CountingAllocator;
 
@@ -110,7 +111,7 @@ fn sweep_loop_allocations_do_not_scale_with_units() {
         "allocations grew with unit count: {small_allocs} (small) vs {large_allocs} (large)"
     );
 
-    // --- Service tick hot path with observability off ---------------
+    // --- Engine tick hot path with observability off ----------------
     // (Same test fn: the counting allocator is process-global and the
     // measurements must not interleave.)
     service_tick_is_allocation_free_when_observability_is_off();
@@ -181,7 +182,7 @@ fn kernel_variants_allocate_identically() {
     }
 }
 
-fn warm_service(trace_sample: u64) -> Service {
+fn warm_service(trace_sample: u64) -> ShardedService {
     let cfg = ServeConfig::builder()
         .slot_len_s(60)
         .window_slots(4)
@@ -190,7 +191,7 @@ fn warm_service(trace_sample: u64) -> Service {
         .cs(CsConfig { rank: 2, lambda: 0.1, num_threads: 1, ..CsConfig::default() })
         .build()
         .unwrap();
-    let mut s = Service::new(cfg).unwrap();
+    let mut s = ShardedService::new(cfg).unwrap();
     // Two rounds of the same keys reach steady state: queue/pending
     // capacity grown, dedup map populated, estimator warm.
     for _ in 0..2 {
@@ -200,7 +201,7 @@ fn warm_service(trace_sample: u64) -> Service {
     s
 }
 
-fn push_round(s: &mut Service) {
+fn push_round(s: &mut ShardedService) {
     for v in 0..8u64 {
         s.push(Observation {
             vehicle: v,
@@ -274,7 +275,7 @@ fn service_tick_is_allocation_free_when_observability_is_off() {
 /// every key was admitted before, so each report retracts and re-adds
 /// its speed exactly and the window content lands back on the solved
 /// value — a solve-cache hit, leaving admission as the tick's only work.
-fn push_batch(s: &mut Service, batch: u64) {
+fn push_batch(s: &mut ShardedService, batch: u64) {
     for v in 0..batch {
         s.push(Observation {
             vehicle: v,
@@ -296,7 +297,7 @@ fn admission_allocations_do_not_scale_with_batch_when_metrics_are_on() {
             .cs(CsConfig { rank: 2, lambda: 0.1, num_threads: 1, ..CsConfig::default() })
             .build()
             .unwrap();
-        let mut s = Service::new(cfg).unwrap();
+        let mut s = ShardedService::new(cfg).unwrap();
         // Warm up: metric handles resolved, queue/pending/dedup grown,
         // estimator warm.
         for _ in 0..3 {

@@ -664,9 +664,8 @@ mod golden {
 }
 
 /// The bitwise pre-refactor pin at the fixed-kernel ranks: rank 8 and
-/// rank 16 dispatch to `Fixed8`/`Fixed16` (feature on) or scalar
-/// (feature off), and either way must reproduce the allocating
-/// reference estimate and objective exactly.
+/// rank 16 dispatch to `Fixed8`/`Fixed16` and must reproduce the
+/// allocating reference estimate and objective exactly.
 #[test]
 fn fixed_rank_kernel_path_equals_prerefactor_estimate_bitwise() {
     for (m, n, rank, lambda, integrity, seed, iterations) in
@@ -699,7 +698,7 @@ fn fixed_rank_kernel_path_equals_prerefactor_estimate_bitwise() {
     }
 }
 
-/// End-to-end `Service` replay parity across kernel variants: the same
+/// End-to-end engine replay parity across kernel variants: the same
 /// report stream driven through a scalar-forced service and an
 /// auto-kernel service must produce byte-identical checkpoints and
 /// bit-identical live estimates, and a checkpoint written by one must
@@ -709,7 +708,8 @@ fn fixed_rank_kernel_path_equals_prerefactor_estimate_bitwise() {
 /// tell the kernels apart.
 #[test]
 fn service_replay_is_kernel_variant_invariant() {
-    use traffic_cs::service::{Observation, ServeConfig, Service};
+    use traffic_cs::service::{Observation, ServeConfig};
+    use traffic_cs::sharded::ShardedService;
 
     fn replay_config() -> ServeConfig {
         ServeConfig::builder()
@@ -729,7 +729,7 @@ fn service_replay_is_kernel_variant_invariant() {
 
     fn run(forced: Option<KernelVariant>) -> (String, Vec<u64>) {
         set_kernel_override(forced);
-        let mut s = Service::new(replay_config()).unwrap();
+        let mut s = ShardedService::new(replay_config()).unwrap();
         for step in 0..8u64 {
             for v in 0..12u64 {
                 s.push(Observation {
@@ -764,7 +764,7 @@ fn service_replay_is_kernel_variant_invariant() {
     // kernels must re-checkpoint byte-for-byte (and vice versa).
     for forced in [None, Some(KernelVariant::Scalar)] {
         set_kernel_override(forced);
-        let mut s = Service::new(replay_config()).unwrap();
+        let mut s = ShardedService::new(replay_config()).unwrap();
         s.restore(&scalar_ckpt).unwrap();
         assert_eq!(s.checkpoint(), scalar_ckpt, "cross-variant restore round trip drifted");
         set_kernel_override(None);

@@ -10,7 +10,8 @@
 //! test — adding a second `#[test]` here would race it.
 
 use traffic_cs::cs::CsConfig;
-use traffic_cs::service::{Observation, ServeConfig, Service};
+use traffic_cs::service::{Observation, ServeConfig};
+use traffic_cs::sharded::ShardedService;
 
 #[test]
 fn service_samples_latency_histograms_with_metrics_only() {
@@ -25,7 +26,7 @@ fn service_samples_latency_histograms_with_metrics_only() {
         .cs(CsConfig { rank: 2, lambda: 0.1, ..CsConfig::default() })
         .build()
         .unwrap();
-    let mut s = Service::new(cfg).unwrap();
+    let mut s = ShardedService::new(cfg).unwrap();
 
     let tick_us = telemetry::histogram("serve.tick_us");
     let solve_us = telemetry::histogram("serve.solve_us");
@@ -66,7 +67,7 @@ fn service_samples_latency_histograms_with_metrics_only() {
 
     // The local histogram resets on demand (the loadgen warm-up
     // boundary) without touching the global metric.
-    s.e2e_histogram().reset();
+    s.reset_e2e_histogram();
     assert_eq!(s.e2e_histogram().count(), 0);
     assert_eq!(e2e_us.count(), 8, "resetting the local histogram must not clear the metric");
 

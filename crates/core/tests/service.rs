@@ -4,7 +4,8 @@
 
 use probes::tcm::TcmBuilder;
 use traffic_cs::cs::{complete_matrix_detailed, CsConfig};
-use traffic_cs::service::{Backpressure, Observation, ServeConfig, Service};
+use traffic_cs::service::{Backpressure, Observation, ServeConfig};
+use traffic_cs::sharded::ShardedService;
 use traffic_cs::Error;
 
 const SLOT_LEN: u64 = 60;
@@ -54,8 +55,8 @@ fn serve_cfg(window_slots: usize, threads: usize) -> ServeConfig {
 }
 
 /// Replays observations through a service in chunks, ticking per chunk.
-fn replay(cfg: ServeConfig, observations: &[Observation], chunk: usize) -> Service {
-    let mut service = Service::new(cfg).unwrap();
+fn replay(cfg: ServeConfig, observations: &[Observation], chunk: usize) -> ShardedService {
+    let mut service = ShardedService::new(cfg).unwrap();
     for batch in observations.chunks(chunk.max(1)) {
         for &o in batch {
             assert!(service.push(o));
@@ -151,7 +152,7 @@ fn multi_window_replay_is_thread_invariant_and_window_exact() {
 
 #[test]
 fn fault_injection_degrades_counters_not_the_process() {
-    let mut service = Service::new(serve_cfg(4, 1)).unwrap();
+    let mut service = ShardedService::new(serve_cfg(4, 1)).unwrap();
 
     // Healthy traffic first.
     for &o in &synth_observations(4) {
@@ -205,7 +206,7 @@ fn fault_injection_degrades_counters_not_the_process() {
 fn duplicate_redelivery_is_last_write_wins() {
     // One vehicle, one slot: the re-delivered speed fully replaces the
     // original contribution rather than averaging with it.
-    let mut service = Service::new(serve_cfg(2, 1)).unwrap();
+    let mut service = ShardedService::new(serve_cfg(2, 1)).unwrap();
     service.push(Observation { vehicle: 9, timestamp_s: 10, segment: 0, speed_kmh: 50.0 });
     service.push(Observation { vehicle: 9, timestamp_s: 10, segment: 0, speed_kmh: 30.0 });
     service.tick();
@@ -222,7 +223,7 @@ fn duplicate_redelivery_is_last_write_wins() {
 
 #[test]
 fn solve_failure_keeps_last_good_estimate_with_staleness_flag() {
-    let mut service = Service::new(serve_cfg(4, 1)).unwrap();
+    let mut service = ShardedService::new(serve_cfg(4, 1)).unwrap();
     for &o in &synth_observations(4) {
         service.push(o);
     }
@@ -276,7 +277,7 @@ fn unsolvable_configuration_never_wedges_the_loop() {
         .cs(CsConfig { rank: 5, lambda: 0.1, ..CsConfig::default() })
         .build()
         .unwrap();
-    let mut service = Service::new(cfg).unwrap();
+    let mut service = ShardedService::new(cfg).unwrap();
     for round in 0..5u64 {
         service.push(Observation {
             vehicle: round,
@@ -296,7 +297,7 @@ fn unsolvable_configuration_never_wedges_the_loop() {
 #[test]
 fn zero_wall_clock_budget_flags_every_solve_stale() {
     let cfg = ServeConfig { solve_budget: Some(std::time::Duration::ZERO), ..serve_cfg(4, 1) };
-    let mut service = Service::new(cfg).unwrap();
+    let mut service = ShardedService::new(cfg).unwrap();
     for &o in &synth_observations(4) {
         service.push(o);
     }
@@ -313,7 +314,7 @@ fn zero_wall_clock_budget_flags_every_solve_stale() {
 #[test]
 fn warm_sweep_cap_bounds_steady_state_latency() {
     let capped = ServeConfig { warm_sweep_cap: Some(2), ..serve_cfg(4, 1) };
-    let mut service = Service::new(capped).unwrap();
+    let mut service = ShardedService::new(capped).unwrap();
     let observations = synth_observations(12);
     let mut max_warm_sweeps = 0;
     let mut first = true;
@@ -342,7 +343,7 @@ fn checkpoint_restore_reproduces_the_uninterrupted_stream() {
     let cfg = || ServeConfig { warm_sweep_cap: None, ..serve_cfg(4, 1) };
 
     // Uninterrupted service over the full stream.
-    let mut uninterrupted = Service::new(cfg()).unwrap();
+    let mut uninterrupted = ShardedService::new(cfg()).unwrap();
     for &o in first_half {
         uninterrupted.push(o);
     }
@@ -355,14 +356,14 @@ fn checkpoint_restore_reproduces_the_uninterrupted_stream() {
     // Interrupted service: checkpoint after the first half, restore into
     // a fresh process, replay the full stream (the window refills; the
     // warm factors come from the checkpoint — bit-exact hex round trip).
-    let mut before_crash = Service::new(cfg()).unwrap();
+    let mut before_crash = ShardedService::new(cfg()).unwrap();
     for &o in first_half {
         before_crash.push(o);
     }
     before_crash.tick();
     let snapshot = before_crash.checkpoint();
 
-    let mut restarted = Service::new(cfg()).unwrap();
+    let mut restarted = ShardedService::new(cfg()).unwrap();
     restarted.restore(&snapshot).unwrap();
     // Refill the window exactly as a restarted replay would.
     for &o in &observations {
@@ -383,24 +384,57 @@ fn checkpoint_file_round_trip_and_io_errors() {
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("serve.ckpt");
 
-    let mut service = Service::new(serve_cfg(4, 1)).unwrap();
+    let mut service = ShardedService::new(serve_cfg(4, 1)).unwrap();
     for &o in &synth_observations(6) {
         service.push(o);
     }
     service.tick();
     service.save_checkpoint(&path).unwrap();
 
-    let mut restored = Service::new(serve_cfg(4, 1)).unwrap();
+    let mut restored = ShardedService::new(serve_cfg(4, 1)).unwrap();
     restored.load_checkpoint(&path).unwrap();
     assert_eq!(restored.clock_s(), service.clock_s());
 
     // Missing file surfaces as a typed I/O error, not a panic.
     let missing = dir.join("does-not-exist.ckpt");
-    let mut fresh = Service::new(serve_cfg(4, 1)).unwrap();
+    let mut fresh = ShardedService::new(serve_cfg(4, 1)).unwrap();
     assert!(matches!(
         fresh.load_checkpoint(&missing),
         Err(Error::Serve(traffic_cs::ServeError::Io(_)))
     ));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn failed_checkpoint_save_leaves_the_previous_file_intact() {
+    // A save writes a sibling temp file and renames it over the target,
+    // so a save that fails before the rename (here: a directory squats
+    // on the temp path) must report `Io` and leave the previous
+    // checkpoint byte-identical — never truncated.
+    let dir = std::env::temp_dir().join(format!("cs-serve-ckpt-atomic-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("serve.ckpt");
+
+    let mut service = ShardedService::new(serve_cfg(4, 1)).unwrap();
+    for &o in &synth_observations(3) {
+        service.push(o);
+    }
+    service.tick();
+    service.save_checkpoint(&path).unwrap();
+    let previous = std::fs::read(&path).unwrap();
+    assert!(!dir.join("serve.ckpt.tmp").exists(), "a successful save leaves no temp file");
+
+    for &o in &synth_observations(6) {
+        service.push(o);
+    }
+    service.tick();
+    assert_ne!(service.checkpoint().as_bytes(), previous.as_slice(), "state must have moved on");
+    std::fs::create_dir(dir.join("serve.ckpt.tmp")).unwrap();
+    assert!(matches!(
+        service.save_checkpoint(&path),
+        Err(Error::Serve(traffic_cs::ServeError::Io(_)))
+    ));
+    assert_eq!(std::fs::read(&path).unwrap(), previous, "failed save touched the checkpoint");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -411,7 +445,7 @@ fn queue_backpressure_under_burst_load() {
         backpressure: Backpressure::DropOldest,
         ..serve_cfg(4, 1)
     };
-    let mut service = Service::new(cfg).unwrap();
+    let mut service = ShardedService::new(cfg).unwrap();
     let observations = synth_observations(4);
     let burst = observations.len();
     for &o in &observations {
@@ -563,7 +597,7 @@ fn admission_rules_table() {
             backpressure: case.backpressure,
             ..serve_cfg(4, 1)
         };
-        let mut service = Service::new(cfg).unwrap();
+        let mut service = ShardedService::new(cfg).unwrap();
         for &o in case.input {
             service.push(o);
         }
@@ -596,7 +630,7 @@ fn counters_conserve_every_report_exactly_once() {
         backpressure: Backpressure::DropOldest,
         ..serve_cfg(4, 1)
     };
-    let mut service = Service::new(cfg).unwrap();
+    let mut service = ShardedService::new(cfg).unwrap();
     let mut pushed = 0u64;
     for round in 0..40u64 {
         let ts = round * SLOT_LEN + 5;
@@ -642,7 +676,7 @@ fn estimate_matches_window_average_where_fully_observed() {
     // Sanity: a fully observed window cell is reproduced closely by the
     // completion (the estimate is a low-rank fit, not interpolation, so
     // allow fit error).
-    let mut service = Service::new(serve_cfg(4, 1)).unwrap();
+    let mut service = ShardedService::new(serve_cfg(4, 1)).unwrap();
     for slot in 0..4u64 {
         for seg in 0..SEGMENTS {
             service.push(Observation {
@@ -694,7 +728,7 @@ fn duplicate_content_hits_the_solve_cache() {
     // bits back where the last solve saw them (single report per cell,
     // so the retract+observe arithmetic is exact), and the dirty tick is
     // answered from the solve cache without touching the solver.
-    let mut service = Service::new(serve_cfg(4, 1)).unwrap();
+    let mut service = ShardedService::new(serve_cfg(4, 1)).unwrap();
     let reports: Vec<Observation> = (0..8u64)
         .map(|k| Observation {
             vehicle: k,

@@ -1,17 +1,16 @@
 //! Parity and semantics tests for [`ShardedService`].
 //!
-//! The two determinism contracts the sharded surface must honor:
+//! The two determinism contracts the sharded engine must honor:
 //!
-//! 1. **Single-shard pass-through** — `ShardedService` with
-//!    `ShardPlan::single()` reproduces the bare [`Service`] bit for
-//!    bit: estimates, counters, solve-path counters, window snapshot,
-//!    and checkpoint restore behavior.
+//! 1. **Exact stitching** — the merged estimate of an N-shard plan is,
+//!    bit for bit, the estimates of N one-shard engines each fed its
+//!    own column range, placed side by side.
 //! 2. **Thread-count invariance** — a multi-shard run produces
 //!    byte-identical merged estimates whatever the worker count, since
 //!    shards share no state.
 
 use traffic_cs::cs::CsConfig;
-use traffic_cs::service::{Observation, ServeConfig, Service};
+use traffic_cs::service::{Observation, ServeConfig};
 use traffic_cs::sharded::{ShardPlan, ShardedService};
 
 const SLOT_LEN: u64 = 60;
@@ -77,33 +76,6 @@ fn matrix_bits(m: &linalg::Matrix) -> Vec<u64> {
 }
 
 #[test]
-fn single_shard_plan_is_a_bitwise_pass_through() {
-    let observations = synth_observations(12);
-    let mut plain = Service::new(cfg(1)).unwrap();
-    let mut sharded = ShardedService::new(cfg(1)).unwrap();
-    for batch in observations.chunks(17) {
-        for &o in batch {
-            assert!(plain.push(o));
-            assert!(sharded.push(o));
-        }
-        let a = plain.tick();
-        let b = sharded.tick();
-        assert_eq!(a.admitted, b.admitted);
-        assert_eq!(a.rejected, b.rejected);
-        assert_eq!(a.solved, b.solved);
-    }
-    assert_eq!(plain.stats(), sharded.stats());
-    assert_eq!(plain.solve_stats(), sharded.solve_stats());
-    let (pe, se) = (plain.latest().unwrap(), sharded.latest().unwrap());
-    assert_eq!(pe.head_slot, se.head_slot);
-    assert_eq!(matrix_bits(&pe.estimate), matrix_bits(&se.estimate));
-    assert_eq!(
-        matrix_bits(plain.window_snapshot().values()),
-        matrix_bits(sharded.window_snapshot().values())
-    );
-}
-
-#[test]
 fn merged_estimate_stitches_per_shard_solves_exactly() {
     // Each shard solves its own column block independently; the merged
     // view must be exactly those blocks side by side, aligned on one
@@ -115,15 +87,15 @@ fn merged_estimate_stitches_per_shard_solves_exactly() {
     assert_eq!(merged.estimate.cols(), SEGMENTS);
     assert!(!merged.stale, "all shards carry data and share the head");
 
-    // Reference: replay each shard's column range through a bare
-    // Service over the same local stream, mimicking the clock sync the
+    // Reference: replay each shard's column range through a one-shard
+    // engine over the same local stream, mimicking the clock sync the
     // sharded tick performs (advance to the global stream clock, then
     // re-solve if the window slid).
     for shard in 0..4 {
         let range = sharded.shard_range(shard);
         let local_cfg =
             ServeConfig { num_segments: range.len(), shards: ShardPlan::single(), ..cfg(1) };
-        let mut local = Service::new(local_cfg).unwrap();
+        let mut local = ShardedService::new(local_cfg).unwrap();
         let mut global_clock = 0u64;
         for batch in observations.chunks(23) {
             for &o in batch {
@@ -218,21 +190,22 @@ fn sharded_checkpoint_round_trips_and_validates() {
 
 #[test]
 fn single_shard_accepts_legacy_service_checkpoints() {
-    let observations = synth_observations(12);
-    let mut plain = Service::new(cfg(1)).unwrap();
-    for &o in &observations {
-        plain.push(o);
-    }
-    plain.tick();
-    let legacy = plain.checkpoint();
+    // A bare `cs-serve-checkpoint v1` file, as the pre-sharding engine
+    // wrote it after one tick over `synth_observations(12)`.
+    let legacy = include_str!("fixtures/legacy_service_v1.ckpt");
 
     let mut sharded = ShardedService::new(cfg(1)).unwrap();
-    sharded.restore(&legacy).unwrap();
-    assert_eq!(sharded.clock_s(), plain.clock_s());
+    sharded.restore(legacy).unwrap();
+    assert_eq!(sharded.clock_s(), 669);
+    // The restored warm start is exactly the legacy one: it re-emits
+    // byte for byte as the body of a one-shard container.
+    let expected =
+        format!("cs-serve-shards v1\nshards 1 segments 10\nshard 0 {}\n{legacy}", legacy.len());
+    assert_eq!(sharded.checkpoint(), expected);
 
     // But a multi-shard plan must refuse a legacy single checkpoint.
     let mut four = ShardedService::new(cfg(4)).unwrap();
-    assert!(four.restore(&legacy).is_err());
+    assert!(four.restore(legacy).is_err());
 }
 
 #[test]
@@ -270,4 +243,27 @@ fn lagging_shard_is_synced_to_the_global_clock() {
     for (_, col, _) in snap.observed_entries() {
         assert_eq!(col, 0, "stale columns must have been evicted by the sync");
     }
+}
+
+#[test]
+fn e2e_histogram_counts_every_settled_report_across_shards() {
+    // Each admitted report settles exactly once, in its own shard; the
+    // merged histogram must hold one sample per admitted report at any
+    // worker count, with its buckets accounting for every sample.
+    let observations = synth_observations(12);
+    let before = workpool::default_threads();
+    for threads in [1, 8] {
+        workpool::set_default_threads(threads);
+        let sharded = replay_sharded(cfg(2), &observations, 23);
+        let hist = sharded.e2e_histogram();
+        let per_shard: u64 = sharded.stats_per_shard().iter().map(|s| s.admitted).sum();
+        assert_eq!(hist.count(), per_shard, "threads={threads}");
+        assert_eq!(hist.count(), observations.len() as u64, "threads={threads}");
+        let bucketed: u64 =
+            (0..telemetry::metrics::HISTOGRAM_BUCKETS).map(|i| hist.bucket_count(i)).sum();
+        assert_eq!(bucketed, hist.count(), "threads={threads}: buckets lost samples");
+        sharded.reset_e2e_histogram();
+        assert_eq!(sharded.e2e_histogram().count(), 0);
+    }
+    workpool::set_default_threads(before);
 }

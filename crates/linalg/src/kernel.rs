@@ -43,13 +43,11 @@
 //!
 //! # Selection
 //!
-//! [`KernelVariant::auto`] picks the best variant for a runtime rank.
-//! With the `kernel` cargo feature enabled (the default) it returns the
-//! fixed-rank kernel when `r ∈ {4, 8, 16}` and the unrolled kernel
-//! otherwise; built with `--no-default-features` it always returns
-//! [`KernelVariant::Scalar`]. Because all variants agree bitwise, the
-//! feature (and the bench-facing [`set_kernel_override`] hook) only ever
-//! changes speed, never results.
+//! [`KernelVariant::auto`] picks the best variant for a runtime rank:
+//! the fixed-rank kernel when `r ∈ {4, 8, 16}` and the unrolled kernel
+//! otherwise. [`set_kernel_override`] forces a variant (the scalar
+//! reference included) for benches and tests. Because all variants
+//! agree bitwise, the choice only ever changes speed, never results.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -113,14 +111,10 @@ impl KernelVariant {
         Self::ALL.into_iter().filter(move |v| v.supports(r))
     }
 
-    /// Picks the variant for a runtime rank: the fixed-rank kernel when
-    /// one exists, the unrolled kernel otherwise — unless the `kernel`
-    /// feature is off (`--no-default-features`), which forces
-    /// [`KernelVariant::Scalar`] and ignores any override.
+    /// Picks the variant for a runtime rank: the overridden variant when
+    /// [`set_kernel_override`] is in force, else the fixed-rank kernel
+    /// when one exists and the unrolled kernel otherwise.
     pub fn auto(r: usize) -> KernelVariant {
-        if !cfg!(feature = "kernel") {
-            return KernelVariant::Scalar;
-        }
         if let Some(forced) = kernel_override() {
             if forced.supports(r) {
                 return forced;
@@ -230,8 +224,7 @@ static KERNEL_OVERRIDE: AtomicU8 = AtomicU8::new(0);
 /// (or restores auto-selection with `None`). A bench/diagnostic hook:
 /// because all variants are bit-identical, flipping the override can
 /// change throughput but never results, so it is safe even with
-/// concurrently running solvers. Ignored when the `kernel` feature is
-/// off — `--no-default-features` builds always run scalar.
+/// concurrently running solvers.
 ///
 /// Scratches constructed *before* the call keep their variant; use
 /// `GramScratch::with_variant` for scoped, local control in tests.
@@ -500,17 +493,11 @@ mod tests {
     #[test]
     fn auto_picks_fixed_rank_when_available() {
         set_kernel_override(None);
-        if cfg!(feature = "kernel") {
-            assert_eq!(KernelVariant::auto(4), KernelVariant::Fixed4);
-            assert_eq!(KernelVariant::auto(8), KernelVariant::Fixed8);
-            assert_eq!(KernelVariant::auto(16), KernelVariant::Fixed16);
-            assert_eq!(KernelVariant::auto(5), KernelVariant::Unrolled);
-            assert_eq!(KernelVariant::auto(1), KernelVariant::Unrolled);
-        } else {
-            for r in [1, 4, 5, 8, 16, 17] {
-                assert_eq!(KernelVariant::auto(r), KernelVariant::Scalar);
-            }
-        }
+        assert_eq!(KernelVariant::auto(4), KernelVariant::Fixed4);
+        assert_eq!(KernelVariant::auto(8), KernelVariant::Fixed8);
+        assert_eq!(KernelVariant::auto(16), KernelVariant::Fixed16);
+        assert_eq!(KernelVariant::auto(5), KernelVariant::Unrolled);
+        assert_eq!(KernelVariant::auto(1), KernelVariant::Unrolled);
     }
 
     #[test]

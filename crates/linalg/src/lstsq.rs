@@ -289,9 +289,9 @@ pub fn cholesky_solve_in_place(
 ///
 /// Construction picks a kernel implementation via
 /// [`KernelVariant::auto`] — the fixed-rank kernel for r ∈ {4, 8, 16},
-/// the 4-lane unrolled kernel otherwise, or the scalar reference when
-/// the `kernel` feature is disabled. All variants are bit-for-bit
-/// identical, so the choice affects speed only.
+/// the 4-lane unrolled kernel otherwise, or whatever
+/// [`crate::kernel::set_kernel_override`] forces. All variants are
+/// bit-for-bit identical, so the choice affects speed only.
 #[derive(Debug, Clone)]
 pub struct GramScratch {
     r: usize,
@@ -409,7 +409,6 @@ pub fn solve_qr(a: &Matrix, b: &Matrix, lambda: f64) -> Result<Matrix, SolveErro
 /// Which direct solver the ALS inner step should use. Exposed so benches
 /// can ablate the design choice called out in DESIGN.md.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum RidgeSolver {
     /// Normal equations + Cholesky (the paper's `inverse` procedure).
     #[default]

@@ -45,7 +45,6 @@ impl std::error::Error for MatrixShapeError {}
 /// assert_eq!(m.transpose().get(2, 1), 5.0);
 /// ```
 #[derive(Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Matrix {
     rows: usize,
     cols: usize,

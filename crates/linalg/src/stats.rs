@@ -123,7 +123,6 @@ pub fn quantile(xs: &[f64], q: f64) -> f64 {
 
 /// One point of an empirical CDF: the fraction of samples `<= value`.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CdfPoint {
     /// Sample value (x-axis).
     pub value: f64,

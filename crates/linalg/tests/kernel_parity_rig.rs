@@ -302,27 +302,20 @@ fn ulp_distance_is_calibrated() {
 
 /// The process-global override steers `GramScratch::new` (and nothing
 /// else): scratches pin their variant at construction, unsupported
-/// fixed-rank overrides degrade to the unrolled family, and with the
-/// `kernel` feature off the override is ignored entirely.
+/// fixed-rank overrides degrade to the unrolled family, and forcing
+/// the scalar reference reaches it at any rank.
 #[test]
 fn kernel_override_controls_auto_selection() {
     set_kernel_override(None);
-    let auto8 = GramScratch::new(8).variant();
-    if cfg!(feature = "kernel") {
-        assert_eq!(auto8, KernelVariant::Fixed8);
-        set_kernel_override(Some(KernelVariant::Scalar));
-        assert_eq!(GramScratch::new(8).variant(), KernelVariant::Scalar);
-        set_kernel_override(Some(KernelVariant::Unrolled));
-        assert_eq!(GramScratch::new(8).variant(), KernelVariant::Unrolled);
-        // A fixed-rank override that cannot serve the rank degrades to
-        // unrolled rather than panicking mid-sweep.
-        set_kernel_override(Some(KernelVariant::Fixed4));
-        assert_eq!(GramScratch::new(8).variant(), KernelVariant::Unrolled);
-        assert_eq!(GramScratch::new(4).variant(), KernelVariant::Fixed4);
-    } else {
-        assert_eq!(auto8, KernelVariant::Scalar);
-        set_kernel_override(Some(KernelVariant::Unrolled));
-        assert_eq!(GramScratch::new(8).variant(), KernelVariant::Scalar);
-    }
+    assert_eq!(GramScratch::new(8).variant(), KernelVariant::Fixed8);
+    set_kernel_override(Some(KernelVariant::Scalar));
+    assert_eq!(GramScratch::new(8).variant(), KernelVariant::Scalar);
+    set_kernel_override(Some(KernelVariant::Unrolled));
+    assert_eq!(GramScratch::new(8).variant(), KernelVariant::Unrolled);
+    // A fixed-rank override that cannot serve the rank degrades to
+    // unrolled rather than panicking mid-sweep.
+    set_kernel_override(Some(KernelVariant::Fixed4));
+    assert_eq!(GramScratch::new(8).variant(), KernelVariant::Unrolled);
+    assert_eq!(GramScratch::new(4).variant(), KernelVariant::Fixed4);
     set_kernel_override(None);
 }

@@ -4,7 +4,6 @@ use roadnet::geometry::Point;
 
 /// Identifier of a probe vehicle (taxi).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct VehicleId(pub u32);
 
 impl VehicleId {
@@ -28,7 +27,6 @@ impl std::fmt::Display for VehicleId {
 /// is 32 bytes, and a fleet-day of reports (4,000 taxis × 1 report/30 s)
 /// fits easily in memory.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ProbeReport {
     /// Reporting vehicle.
     pub vehicle: VehicleId,

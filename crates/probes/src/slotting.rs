@@ -3,7 +3,6 @@
 /// The time granularities used throughout the paper's evaluation
 /// (Table 1, Figs. 11–14, Table 2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Granularity {
     /// 15-minute slots.
     Min15,
@@ -60,7 +59,6 @@ impl std::fmt::Display for Granularity {
 /// assert_eq!(grid.slot_of(86_400), None);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SlotGrid {
     start_s: u64,
     slot_len_s: u64,

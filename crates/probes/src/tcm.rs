@@ -80,7 +80,6 @@ impl std::error::Error for TcmError {}
 /// assert_eq!(tcm.integrity(), 1.0);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Tcm {
     values: Matrix,
     indicator: Matrix,

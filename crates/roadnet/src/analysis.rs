@@ -77,7 +77,6 @@ pub fn is_strongly_connected(net: &RoadNetwork) -> bool {
 
 /// Summary statistics of a network's structure.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NetworkStats {
     /// Number of intersections.
     pub nodes: usize,

@@ -16,7 +16,6 @@ use rand::{RngExt, SeedableRng};
 
 /// Parameters of the synthetic grid city.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct GridCityConfig {
     /// Number of intersection rows.
     pub rows: usize,
@@ -332,7 +331,6 @@ mod tests {
 /// Parameters of the radial (ring-and-spoke) city generator — a second
 /// topology so downstream results can be checked for grid artifacts.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RadialCityConfig {
     /// Number of concentric rings (≥ 1).
     pub rings: usize,

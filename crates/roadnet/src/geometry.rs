@@ -7,7 +7,6 @@
 
 /// A point in the city's planar coordinate system (metres).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Point {
     /// East–west coordinate in metres.
     pub x: f64,
@@ -53,7 +52,6 @@ pub fn point_segment_distance_sq(p: Point, a: Point, b: Point) -> (f64, f64) {
 
 /// Axis-aligned bounding box.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BoundingBox {
     /// Minimum corner.
     pub min: Point,

@@ -7,13 +7,11 @@ use std::fmt;
 /// Newtype over the index into [`crate::RoadNetwork`]'s node table, so node
 /// and segment indices cannot be confused at compile time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NodeId(pub u32);
 
 /// Identifier of a directed road segment (link between two neighbouring
 /// intersections) — the unit whose traffic condition the paper estimates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SegmentId(pub u32);
 
 impl NodeId {

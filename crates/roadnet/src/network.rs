@@ -8,7 +8,6 @@ use crate::{NodeId, SegmentId};
 /// arterial/side-street distinction running through the paper's related
 /// work (e.g. the probe-penetration analysis of Ferman et al. \[13\]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum RoadClass {
     /// Major urban arterial: high free-flow speed, heavy rush-hour dips.
     Arterial,
@@ -33,7 +32,6 @@ impl RoadClass {
 /// spatial unit of the paper's traffic condition matrix (one column per
 /// segment).
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Segment {
     /// Identifier; equals the segment's index in the network.
     pub id: SegmentId,
@@ -66,7 +64,6 @@ impl Segment {
 /// Construct via [`crate::RoadNetworkBuilder`] or
 /// [`crate::generator::generate_grid_city`].
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RoadNetwork {
     pub(crate) nodes: Vec<Point>,
     pub(crate) segments: Vec<Segment>,

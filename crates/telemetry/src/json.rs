@@ -8,7 +8,6 @@
 
 /// A parsed or to-be-encoded JSON value.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Json {
     /// `null`.
     Null,

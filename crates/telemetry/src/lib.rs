@@ -47,7 +47,6 @@ use std::sync::{Arc, OnceLock, RwLock};
 ///
 /// Matches the CLI surface `--log-level <off|error|info|debug|trace>`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[repr(u8)]
 pub enum Level {
     /// No records emitted at all (the default).
@@ -101,7 +100,6 @@ impl std::fmt::Display for Level {
 /// A structured field value. Kept deliberately scalar: nested data goes
 /// into separate fields or separate records.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Value {
     /// Boolean flag.
     Bool(bool),

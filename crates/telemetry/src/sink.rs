@@ -8,7 +8,6 @@ use std::sync::Mutex;
 
 /// What a [`Record`] describes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum RecordKind {
     /// A closed span (has `elapsed_ns`).
     Span,

@@ -18,7 +18,6 @@ use roadnet::RoadNetwork;
 ///   city, relatively sparser coverage of the studied core, and noisier
 ///   GPS, giving uniformly higher estimation error as in Fig. 12.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ScenarioConfig {
     /// Human-readable scenario name.
     pub name: String,

@@ -23,7 +23,6 @@ use roadnet::RoadNetwork;
 
 /// Fleet behaviour parameters.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FleetConfig {
     /// Number of probe vehicles.
     pub fleet_size: usize,

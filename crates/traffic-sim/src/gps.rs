@@ -12,7 +12,6 @@ use roadnet::geometry::Point;
 
 /// GPS error and dropout parameters.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct GpsConfig {
     /// Position error standard deviation per axis, metres, open sky.
     pub position_noise_std_m: f64,

@@ -14,7 +14,6 @@ use roadnet::{RoadClass, RoadNetwork};
 
 /// Parameters of the generative traffic model.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct GroundTruthConfig {
     /// Expected number of traffic incidents per segment per day.
     pub incident_rate_per_segment_day: f64,
@@ -79,7 +78,6 @@ fn class_profile(class: RoadClass) -> CongestionProfile {
 /// speed collapse on one segment. Exposed so incident-detection
 /// evaluations have labelled ground truth.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Incident {
     /// Segment column the incident occurred on.
     pub segment: usize,

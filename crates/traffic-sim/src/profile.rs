@@ -13,7 +13,6 @@ pub const DAY_S: u64 = 86_400;
 /// Gaussian rush-hour bumps. Output is in `[0, 1]`: `0` = free flow,
 /// `1` = maximal congestion for this profile.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CongestionProfile {
     /// `(peak_hour, width_hours, height)` bumps; heights should sum ≤ 1.
     bumps: Vec<(f64, f64, f64)>,

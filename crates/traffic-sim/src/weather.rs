@@ -11,7 +11,6 @@ use rand::{RngExt, SeedableRng};
 
 /// Weather state of one day.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum DayWeather {
     /// Dry day: no speed effect.
     Clear,
@@ -34,7 +33,6 @@ impl DayWeather {
 
 /// Weather generation parameters.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct WeatherConfig {
     /// Probability a day is rainy at all.
     pub rain_prob: f64,
@@ -59,7 +57,6 @@ impl WeatherConfig {
 
 /// A realized weather sequence: one state per day.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct WeatherSequence {
     days: Vec<DayWeather>,
 }

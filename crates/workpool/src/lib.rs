@@ -163,6 +163,18 @@ pub fn resolve_threads(requested: usize) -> usize {
     n.max(1)
 }
 
+/// Worker count for a fan-out over `n` items: [`resolve_threads`]
+/// capped at `n`. At most one item never resolves the thread count, so
+/// a single-item fan-out stays a plain call — no environment read, no
+/// core-count probe (which can allocate), no threads.
+fn workers_for(n: usize, threads: usize) -> usize {
+    if n <= 1 {
+        n
+    } else {
+        resolve_threads(threads).min(n)
+    }
+}
+
 /// Pointer wrapper so scoped workers can address disjoint slots of a
 /// caller-owned slice. Safety rests on the claim protocol: each index is
 /// handed to exactly one worker by an atomic cursor.
@@ -183,7 +195,7 @@ where
     O: Send,
     F: Fn(usize) -> O + Sync,
 {
-    let workers = resolve_threads(threads).min(n);
+    let workers = workers_for(n, threads);
     if workers <= 1 {
         return (0..n).map(f).collect();
     }
@@ -278,7 +290,7 @@ where
     F: Fn(usize, &mut T, &mut S) -> Result<(), E> + Sync,
 {
     let n = items.len();
-    let workers = resolve_threads(threads).min(n);
+    let workers = workers_for(n, threads);
     if workers <= 1 {
         let mut scratch = init();
         for (i, item) in items.iter_mut().enumerate() {

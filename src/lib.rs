@@ -19,10 +19,11 @@
 //!   assembly, masking, integrity metrics.
 //! * [`traffic_cs`] — the paper's contribution: Algorithm 1 (alternating
 //!   least-squares matrix completion), Algorithm 2 (genetic parameter
-//!   search), the KNN/MSSA baselines, PCA and eigenflow analysis, plus a
-//!   fault-tolerant streaming estimation service ([`traffic_cs::service`]),
-//!   its segment-range sharded wrapper ([`traffic_cs::sharded`]), and a
-//!   socket-serving daemon ([`traffic_cs::daemon`]).
+//!   search), the KNN/MSSA baselines, PCA and eigenflow analysis, plus
+//!   the fault-tolerant, segment-range sharded streaming engine
+//!   ([`traffic_cs::sharded::ShardedService`], configured through
+//!   [`traffic_cs::service`]) and a socket-serving daemon
+//!   ([`traffic_cs::daemon`]).
 //! * [`proto`] — the `cs-wire/v1` protocol: versioned length-prefixed
 //!   frames, typed request/response messages, TCP/Unix transport, and a
 //!   blocking client.
@@ -86,7 +87,7 @@ pub mod prelude {
     pub use traffic_cs::metrics::{nmae_on_missing, relative_error_cdf};
     pub use traffic_cs::online::OnlineEstimator;
     pub use traffic_cs::selection::{adaptive_matrix, select_correlated};
-    pub use traffic_cs::service::{LiveEstimate, ServeConfig, Service};
+    pub use traffic_cs::service::{LiveEstimate, ServeConfig};
     pub use traffic_cs::sharded::{ShardPlan, ShardedService};
     pub use traffic_cs::weighted::{complete_matrix_weighted, WeightScheme};
     pub use traffic_cs::{ConfigError, Error as TrafficCsError};
@@ -105,7 +106,7 @@ mod tests {
         assert_eq!(cfg.rank, 2);
         assert_eq!(Granularity::all().len(), 3);
         let serve = ServeConfig::builder().num_segments(4).build().unwrap();
-        assert!(Service::new(serve).is_ok());
+        assert_eq!(ShardedService::new(serve).unwrap().shard_count(), 1);
         let sharded = ServeConfig::builder()
             .num_segments(4)
             .shards(ShardPlan::with_count(2))
